@@ -23,7 +23,6 @@ from .errors import (
 )
 from .linalg import PolarFactors, householder_reflector, polar_decompose, sample_haar_orthogonal
 from .metrics import (
-    TrialOutcome,
     alpha_for_eta,
     beta_for_eta,
     eta,
@@ -71,7 +70,6 @@ __all__ = [
     "SolverConfig",
     "SparseBlockMatrix",
     "SynclusterError",
-    "TrialOutcome",
     "ValidationError",
     "WrongKError",
     "ZeroVectorError",

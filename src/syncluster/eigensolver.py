@@ -1,9 +1,10 @@
 """Largest-algebraic eigenpairs of a symmetric block-sparse matrix.
 
 Block Lanczos with full reorthogonalization and thick restarts. The matrix
-is touched only through SparseBlockMatrix.matvec, so the cost per product
-is proportional to the number of stored blocks and the square matrix is
-never materialized; auxiliary memory is one basis of at most a few
+is touched only through SparseBlockMatrix.matvec, one call per expansion
+of block_size columns, so each product costs O(d^2 * pair_count *
+block_size) flops in batched GEMMs and the square matrix is never
+materialized; auxiliary memory is one basis of at most a few
 block_size-width panels.
 
 "Top" means largest algebraic eigenvalues throughout: the signal part of

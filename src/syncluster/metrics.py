@@ -8,8 +8,6 @@ scaled by 1 / sqrt(d). Exact matches floor at LOG_ZERO_FLOOR to keep the
 value numeric in CSV output.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, ValidationError, WrongKError
@@ -20,21 +18,6 @@ LOG_ZERO_FLOOR = -746.0
 
 # Denominators below this make the two-cluster ratio +inf.
 _RATIO_ZERO_CUTOFF = 1e-300
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Per-trial evaluation bundle the harness writes as one CSV row."""
-
-    exact: bool
-    sync_error_log: float
-    eta: float
-    t_eigen_ms: float
-    t_cpqr_ms: float
-    t_recover_ms: float
-    t_refine_ms: float
-    snr_min: float = None
-    flags: tuple = ()
 
 
 def _partition_key(labels):

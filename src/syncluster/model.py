@@ -5,7 +5,9 @@ transform. The observation matrix holds, for a random subset of node pairs,
 either the true relative transform (within clusters, probability p) or a
 Haar-uniform impostor block (across clusters, probability q). An additive
 variant perturbs every pair with Gaussian noise. A small binary container
-format round-trips both structures to disk.
+format round-trips both structures to disk. The matrix multiplies through
+batched GEMMs over tiles of destination nodes, O(d^2) work per stored block
+and column.
 
 All randomness is rooted in a single integer seed through named Philox
 streams: each consumer owns a stream and reads it in the canonical
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import NonFiniteError, ParseError, ValidationError
 from .linalg import haar_from_normals
 
 # Named stream keys. Each consumer of randomness owns one key so streams
@@ -28,9 +30,10 @@ _STREAM_PRESENCE = 1
 _STREAM_CROSS = 2
 _STREAM_NOISE = 3
 
-# Element budget per temporary in the chunked matvec, to bound transient
-# memory when d (and the requested column count) is large.
-_MATVEC_CHUNK_ELEMS = 1 << 20
+# Block elements gathered per matvec tile (8192 padded slots at d=2): large
+# enough that per-tile numpy overhead is small against the arithmetic, small
+# enough that the gathered blocks and operand rows stay cache-sized.
+_MATVEC_TILE_ELEMS = 1 << 15
 
 _MAGIC = b"JSYN"
 _FORMAT_VERSION = 1
@@ -164,6 +167,8 @@ class SparseBlockMatrix:
         data = np.asarray(data, dtype=np.float64).reshape(-1, self.d, self.d)
         if pairs.shape[0] != data.shape[0]:
             raise ValidationError("pairs and data must have matching lengths")
+        if not np.isfinite(data).all():
+            raise NonFiniteError("block data contains NaN or Inf entries")
         if pairs.size:
             if pairs.min() < 0 or pairs.max() >= self.n:
                 raise ValidationError("pair indices must lie in 0..n-1")
@@ -223,24 +228,57 @@ class SparseBlockMatrix:
         hit = self.blocks.get((j, i))
         return hit.T if hit is not None else np.zeros((self.d, self.d))
 
-    def _matvec_plan(self):
-        # Stored pairs are lexsorted, so grouping by the left index is a
-        # unique() scan; the transposed direction gets a stable sort by the
-        # right index once, cached.
+    def _matvec_tiles(self):
+        # Slots grouped by destination node, in both directions: stored
+        # (i, j) blocks feed i (applied as stored, the pairs being sorted by
+        # i already) and their transposes feed j (through one stable sort
+        # by j). Consecutive destinations are cut into tiles; within a tile
+        # every node gets as many slots per direction as the fullest node,
+        # and padded slots read row n, the zero row appended to the operand.
+        # A tile is [lo, hi, transposed slots, as-stored slots], each slot
+        # set being (width, source nodes, block indices). Building tile by
+        # tile with int32 indices keeps the plan and its temporaries small:
+        # whole-array int64 builds left enough heap behind at n=6400 to
+        # raise the next instance's peak memory by ~9%.
         if self._matvec_cache is None:
-            i_arr = self.pairs[:, 0]
-            j_arr = self.pairs[:, 1]
-            ui, istart = np.unique(i_arr, return_index=True)
-            jorder = np.argsort(j_arr, kind="stable")
-            uj, jstart = np.unique(j_arr[jorder], return_index=True)
-            self._matvec_cache = (ui, istart, jorder, uj, jstart)
+            n, m, d = self.n, self.pair_count, self.d
+            index_type = np.int32 if max(n, m) < 2**31 else np.int64
+            i_arr, j_arr = self.pairs.astype(index_type).T
+            jorder = np.argsort(j_arr, kind="stable").astype(index_type)
+            directions = (
+                (np.bincount(j_arr, minlength=n), i_arr[jorder], jorder),
+                (np.bincount(i_arr, minlength=n), j_arr, np.arange(m, dtype=index_type)),
+            )
+            starts = [np.cumsum(deg) - deg for deg, _, _ in directions]
+            budget = max(1, _MATVEC_TILE_ELEMS // (d * d))
+            tiles = []
+            lo = 0
+            while lo < n:
+                width = sum(np.maximum.accumulate(deg[lo : lo + budget])
+                            for deg, _, _ in directions)
+                cost = width * np.arange(1, width.size + 1)
+                hi = lo + max(1, int(np.searchsorted(cost, budget, side="right")))
+                tile = [lo, hi]
+                for (deg, src, blk), start in zip(directions, starts):
+                    slot = np.arange(int(deg[lo:hi].max()))
+                    live = slot < deg[lo:hi, None]
+                    pos = np.where(live, start[lo:hi, None] + slot, 0)
+                    tile.append((slot.size, np.where(live, src[pos], n).ravel(),
+                                 np.where(live, blk[pos], 0).ravel()))
+                tiles.append(tile)
+                lo = hi
+            self._matvec_cache = tiles
         return self._matvec_cache
 
     def matvec(self, x):
         """Multiply by a vector or a tall matrix of shape (n*d, ...).
 
-        Works block by block: cost O(d^2 * pair_count) per column, and the
-        full square matrix is never formed.
+        Cost O(d^2 * pair_count) per column. Per tile of destination nodes
+        and per direction, two gathers (blocks and operand rows) feed one
+        batched GEMM whose inner dimension is degree * d, so numpy's
+        per-call overhead is paid once per tile of about 2^15 block
+        elements rather than once per block. The full square matrix is
+        never formed.
         """
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
@@ -248,42 +286,28 @@ class SparseBlockMatrix:
             x = x[:, None]
         if x.shape[0] != self.nd:
             raise ValidationError(f"operand must have {self.nd} rows")
-        c = x.shape[1]
-        xb = x.reshape(self.n, self.d, c)
-        y = np.zeros((self.n, self.d, c))
+        n, d, c = self.n, self.d, x.shape[1]
+        xb = np.empty((n + 1, d, c))
+        xb[:n] = x.reshape(n, d, c)
+        xb[n] = 0.0
+        y = np.zeros((n, d, c))
         if self.pair_count:
-            ui, istart, jorder, uj, jstart = self._matvec_plan()
-            self._scatter_products(y, xb, self.pairs[:, 1], ui, istart, None)
-            self._scatter_products(y, xb, self.pairs[:, 0], uj, jstart, jorder)
+            for lo, hi, *directions in self._matvec_tiles():
+                for transposed, (width, src, blk) in zip((True, False), directions):
+                    if not width:
+                        continue
+                    # Slot s applies block^T (transposed direction) or
+                    # block; stacking the transposes of those operators
+                    # per node makes each node's (d, width*d) panel a
+                    # transposed view rather than a copy.
+                    blocks = np.take(self.data, blk, axis=0)
+                    if not transposed:
+                        blocks = blocks.transpose(0, 2, 1)
+                    panel = blocks.reshape(hi - lo, width * d, d).transpose(0, 2, 1)
+                    rows = np.take(xb, src, axis=0).reshape(hi - lo, width * d, c)
+                    y[lo:hi] += np.matmul(panel, rows)
         out = y.reshape(self.nd, c)
         return out[:, 0] if single else out
-
-    def _scatter_products(self, y, xb, src_idx, groups, starts, order):
-        # Accumulate block @ x contributions into y, grouped by destination.
-        # order=None: destinations pairs[:,0] ascending, blocks as stored.
-        # order given: destinations pairs[:,1] ascending under that order,
-        # blocks transposed. Chunked so temporaries stay bounded; a group
-        # split across chunks accumulates correctly because += adds partial
-        # sums into the same destination row.
-        m = self.pair_count
-        d, c = y.shape[1], y.shape[2]
-        chunk = max(1, _MATVEC_CHUNK_ELEMS // (d * c))
-        bounds = np.append(starts, m)
-        for lo in range(0, m, chunk):
-            hi = min(lo + chunk, m)
-            if order is None:
-                blocks = self.data[lo:hi]
-                src = src_idx[lo:hi]
-            else:
-                sel = order[lo:hi]
-                blocks = self.data[sel].transpose(0, 2, 1)
-                src = src_idx[sel]
-            prod = np.matmul(blocks, xb[src])
-            g_lo = int(np.searchsorted(bounds, lo, side="right")) - 1
-            g_hi = int(np.searchsorted(bounds, hi, side="left"))
-            local = np.clip(bounds[g_lo : g_hi + 1] - lo, 0, hi - lo)
-            sums = np.add.reduceat(prod, local[:-1], axis=0)
-            y[groups[g_lo:g_hi]] += sums
 
     def restrict(self, nodes):
         """Principal block submatrix on the given nodes, re-indexed 0..len-1.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolver import restricted_top_eigenpairs
-from .errors import ValidationError
+from .errors import NonFiniteError, ValidationError
 from .linalg import polar_decompose
 
 # Block columns with total norm below this are treated as all-zero: the
@@ -182,28 +182,29 @@ def connectivity_check(a, nodes):
     lookup = np.full(a.n, -1, dtype=np.int64)
     lookup[nodes] = np.arange(nodes.size)
 
+    # Label propagation over trees: every root hooks to the smallest root
+    # it shares an edge with, then pointers jump until each node points at
+    # its root. Hooks always go to a smaller index, so a root is the
+    # smallest node of its tree, and within two rounds every tree with an
+    # outside edge merges, so the rounds are logarithmic in the node count.
     parent = np.arange(nodes.size)
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
     if a.pair_count:
         mapped = lookup[a.pairs]
-        for u, v in mapped[(mapped >= 0).all(axis=1)]:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[rv] = ru
-    roots = np.array([find(u) for u in range(nodes.size)])
-    seen = {}
-    components = np.empty(nodes.size, dtype=np.int64)
-    for idx, root in enumerate(roots):
-        if root not in seen:
-            seen[root] = len(seen)
-        components[idx] = seen[root]
-    return len(seen) == 1, components
+        u, v = mapped[(mapped >= 0).all(axis=1)].T
+        while u.size:
+            ru, rv = parent[u], parent[v]
+            cross = ru != rv
+            u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+            np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+            while True:
+                jumped = parent[parent]
+                if np.array_equal(jumped, parent):
+                    break
+                parent = jumped
+    # Roots are component minima, so ranking them numbers the components
+    # in first-seen order.
+    roots, components = np.unique(parent, return_inverse=True)
+    return roots.size == 1, components
 
 
 def refine_transforms(a, result, cfg=None):
@@ -228,6 +229,7 @@ def refine_transforms(a, result, cfg=None):
 
     Raises:
         NoConvergenceError: propagated from the eigensolver.
+        NonFiniteError: a restricted eigenvector block is not finite.
     """
     d = a.d
     transforms = result.transforms.copy()
@@ -243,10 +245,12 @@ def refine_transforms(a, result, cfg=None):
             flags = flags + (FLAG_DISCONNECTED_CLUSTER,)
         for c in range(int(components.max()) + 1):
             comp_nodes = nodes[components == c]
-            basis = restricted_top_eigenpairs(a, comp_nodes, d, cfg)
-            vecs = basis.vectors
-            for t, node in enumerate(comp_nodes):
-                transforms[node] = polar_decompose(vecs[t * d : (t + 1) * d, :]).orthogonal
+            blocks = restricted_top_eigenpairs(a, comp_nodes, d, cfg).vectors.reshape(-1, d, d)
+            if not np.isfinite(blocks).all():
+                raise NonFiniteError("restricted eigenvectors contain NaN or Inf entries")
+            # Polar factors of every node's block in one stacked SVD.
+            u, _, vt = np.linalg.svd(blocks)
+            transforms[comp_nodes] = u @ vt
     return RecoveryResult(
         labels=result.labels,
         transforms=transforms,

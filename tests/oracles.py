@@ -3,15 +3,17 @@
 Every routine here deliberately takes a different computational route from
 the code under test: Gram-Schmidt projection instead of Householder
 reflections, dense LAPACK eigendecompositions instead of iterative Lanczos,
-scipy's polar/Procrustes instead of our SVD assembly, Decimal arithmetic
-instead of float64. Tests compare the two routes; neither is derived from
-the other.
+scipy's polar/Procrustes instead of our SVD assembly, scipy's graph search
+instead of our label propagation, Decimal arithmetic instead of float64.
+Tests compare the two routes; neither is derived from the other.
 """
 
 from decimal import Decimal, getcontext
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 
 def scalar_cpqr_pivots(x):
@@ -183,3 +185,21 @@ def clean_spectrum(sizes, d):
 
 def dense_matvec(dense, x):
     return dense @ x
+
+
+def components_oracle(a, nodes):
+    """Component ids of the block graph on `nodes` via scipy's graph search.
+
+    Ids label each entry of sorted(nodes), renumbered in first-seen order.
+    """
+    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+    keep = np.isin(a.pairs, nodes).all(axis=1)
+    rows, cols = np.searchsorted(nodes, a.pairs[keep]).T
+    graph = scipy.sparse.coo_array(
+        (np.ones(rows.size), (rows, cols)), shape=(nodes.size, nodes.size)
+    )
+    count, raw = connected_components(graph, directed=False)
+    first_seen = {}
+    for label in raw:
+        first_seen.setdefault(int(label), len(first_seen))
+    return count == 1, np.array([first_seen[int(label)] for label in raw])

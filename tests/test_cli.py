@@ -129,6 +129,13 @@ def test_solve_corrupt_file_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_non_finite_block_exits_one(nan_block_container, capsys):
+    assert main(["solve", str(nan_block_container)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "NaN or Inf" in err
+    assert "Traceback" not in err
+
+
 def test_generate_rejects_incomplete_model(tmp_path, capsys):
     conf = tmp_path / "model.conf"
     conf.write_text("n = 24\nK = 2\nd = 2\np = 1.0\n")

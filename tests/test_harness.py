@@ -3,10 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import syncluster
 from syncluster.errors import ParseError, ValidationError
 from syncluster.harness import (
     BENCH_COLUMNS,
@@ -352,3 +356,21 @@ def test_model_config(tmp_path):
     path.write_text("n = 12\nK = 3\nd = 2\np = 0.9\n")
     with pytest.raises(ValidationError, match="missing required key 'q'"):
         load_model_config(path)
+
+
+def test_import_and_solve_never_load_scipy():
+    # scipy is a test-only extra; loading it would add its import time to
+    # every process start.
+    script = (
+        "import sys\n"
+        "from syncluster import ModelParams, SolverConfig, generate_instance, harness\n"
+        "gt, a = generate_instance(ModelParams(n=40, K=2, d=2, p=0.6, q=0.1, seed=1))\n"
+        "harness.run_pipeline(a, 2, 2, SolverConfig(seed=1), 'both')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(syncluster.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

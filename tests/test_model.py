@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from syncluster.errors import ParseError, ValidationError
+from syncluster.errors import NonFiniteError, ParseError, ValidationError
 from syncluster.model import (
     GroundTruth,
     ModelParams,
@@ -137,14 +137,25 @@ def test_presence_rates_track_probabilities():
     assert (~same).sum() / cross_total == pytest.approx(0.2, abs=0.1)
 
 
-@given(small_models)
-def test_matvec_matches_dense_oracle(case):
+# Operand shapes beyond the matrix rows: () is a 1-D vector.
+operand_shapes = st.sampled_from(((), (1,), (3,), (25,)))
+
+
+@given(small_models, operand_shapes, st.booleans())
+@example((5, 25, 1, 8, 10, 10), (25,), False)  # every pair stored, d=8, 25 columns
+@example((6, 200, 2, 2, 10, 10), (5,), False)  # 19,900 blocks: several tiles
+@example((7, 60, 3, 2, 1, 0), (3,), False)  # sparse: isolated and one-sided nodes
+@example((8, 30, 2, 3, 6, 2), (), True)  # 1-D operand on a restricted matrix
+def test_matvec_matches_dense_oracle(case, extra, restricted):
     seed, n, big_k, d, p10, q10 = case
-    gt, a = generate_instance(_params(seed, n, big_k, d, max(p10, 3), q10))
+    gt, a = generate_instance(_params(seed, n, big_k, d, p10, q10))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    x = rng.standard_normal((a.nd, 3))
+    if restricted:
+        a = a.restrict(rng.choice(n, size=max(1, n // 2), replace=False))
+    x = rng.standard_normal((a.nd,) + extra)
     want = oracles.dense_matvec(a.to_dense(), x)
     got = a.matvec(x)
+    assert got.shape == want.shape
     assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
 
 
@@ -187,6 +198,20 @@ def test_sparse_matrix_validates_pairs():
         SparseBlockMatrix(3, 1, np.array([[0, 1], [0, 1]]), np.zeros((2, 1, 1)))
     with pytest.raises(ValidationError):
         SparseBlockMatrix(3, 1, np.array([[0, 3]]), np.zeros((1, 1, 1)))
+
+
+def test_sparse_matrix_rejects_non_finite_blocks():
+    pairs = np.array([[0, 1], [1, 2]])
+    for bad in (np.nan, np.inf, -np.inf):
+        data = np.zeros((2, 2, 2))
+        data[1, 0, 1] = bad
+        with pytest.raises(NonFiniteError, match="NaN or Inf"):
+            SparseBlockMatrix(3, 2, pairs, data)
+
+
+def test_loader_rejects_non_finite_block(nan_block_container):
+    with pytest.raises(NonFiniteError):
+        load_matrix(nan_block_container)
 
 
 def test_add_noise_zero_sigma_is_identity():

@@ -205,6 +205,40 @@ def test_connectivity_check_connected_and_split():
         connectivity_check(a, np.array([], dtype=np.int64))
 
 
+def _edge_matrix(n, edges):
+    """d=1 matrix whose stored blocks are exactly the given undirected edges."""
+    edges = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+    edges = np.unique(edges[edges[:, 0] != edges[:, 1]], axis=0)
+    return SparseBlockMatrix(n, 1, edges, np.ones((edges.shape[0], 1, 1)))
+
+
+def _graph_cases():
+    rng = _gen(31)
+    for n, m in ((40, 15), (40, 30), (200, 150), (200, 400), (1000, 700)):
+        yield "random", _edge_matrix(n, rng.integers(0, n, size=(m, 2)))
+    # Path visiting nodes in scrambled order: the worst case for hooking.
+    n = 20_000
+    walk = rng.permutation(n)
+    yield "scrambled path", _edge_matrix(n, np.column_stack((walk[:-1], walk[1:])))
+    yield "star", _edge_matrix(50, [(17, k) for k in range(50)])
+    yield "isolated nodes", _edge_matrix(30, [(3, 9), (9, 27), (12, 13)])
+    yield "no edges", _edge_matrix(12, np.empty((0, 2)))
+    yield "single node", _edge_matrix(1, np.empty((0, 2)))
+
+
+def test_connectivity_check_matches_graph_search_oracle():
+    rng = _gen(32)
+    for name, a in _graph_cases():
+        subsets = [np.arange(a.n)]
+        if a.n > 1:
+            subsets.append(rng.choice(a.n, size=max(1, a.n // 3), replace=False))
+        for nodes in subsets:
+            connected, components = connectivity_check(a, nodes)
+            want_connected, want = oracles.components_oracle(a, nodes)
+            assert connected == want_connected, name
+            assert np.array_equal(components, want), name
+
+
 def test_refine_transforms_exact_on_clean_instance():
     gt, a, factors, result = _clean_recovery(24, 2, 3, seed=11)
     refined = refine_transforms(a, result)
