@@ -19,9 +19,8 @@ from .errors import (
     SynclusterError,
     ValidationError,
     WrongKError,
-    ZeroVectorError,
 )
-from .linalg import PolarFactors, householder_reflector, polar_decompose, sample_haar_orthogonal
+from .linalg import PolarFactors, polar_decompose, sample_haar_orthogonal
 from .metrics import (
     alpha_for_eta,
     beta_for_eta,
@@ -72,7 +71,6 @@ __all__ = [
     "SynclusterError",
     "ValidationError",
     "WrongKError",
-    "ZeroVectorError",
     "add_gaussian_noise",
     "alpha_for_eta",
     "apply_block_permutation",
@@ -86,7 +84,6 @@ __all__ = [
     "generate_ground_truth",
     "generate_instance",
     "generate_observation",
-    "householder_reflector",
     "load_ground_truth",
     "load_labeling",
     "load_matrix",

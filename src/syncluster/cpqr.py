@@ -2,30 +2,37 @@
 
 The pivot unit is a block of d consecutive columns, so the permutation has
 Kronecker structure (block permutation times identity) and the relative
-order of columns inside each block survives. Exactly K pivot rounds run:
-round t picks the block column with the largest residual Frobenius norm
-(recomputed from scratch each round), swaps it into position t, and zeroes
-its subdiagonal with d Householder reflections.
+order of columns inside each block survives. Exactly K greedy rounds pick
+the pivots: round t projects every block column onto the complement of
+the t pivot blocks already chosen (the trailing columns of a complete QR
+of those blocks) and takes the block with the largest residual Frobenius
+norm. One QR of the K pivot blocks then gives Q, and R = Q^T x is formed
+directly in input column order, so no reflector is built by hand and no
+permutation has to be undone.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ValidationError, ZeroVectorError
-from .linalg import householder_reflector
+from .errors import NonFiniteError, ValidationError
+
+# A pivot column whose R diagonal falls below this absolute value marks
+# the input as rank deficient.
+_RANK_CUTOFF = 1e-14
 
 
 @dataclass(frozen=True)
 class BlockCpqrFactors:
     """Q, R, and the block permutation of a blockwise CPQR.
 
-    r is stored with the permutation undone (block column j corresponds to
-    node j), so q @ r reconstructs the input directly and downstream block
-    reads need no index translation. perm lists, per pivot position, the
-    original block-column index placed there; pivots is its leading K
-    entries. rank_deficient flags rounds where a residual column vanished
-    and an identity reflector was substituted.
+    r is in input column order (block column j corresponds to node j), so
+    q @ r reconstructs the input directly and downstream block reads need
+    no index translation. perm lists, per pivot position, the original
+    block-column index placed there: the K pivots in selection order, then
+    the unchosen blocks in ascending order. pivots is its leading K
+    entries. rank_deficient flags a pivot column whose residual vanished,
+    i.e. a diagonal entry of the pivoted R below 1e-14 in magnitude.
     """
 
     q: np.ndarray
@@ -87,10 +94,11 @@ def blockwise_cpqr(x, d):
         d: block dimension.
 
     Returns:
-        BlockCpqrFactors. q is (K*d, K*d) orthogonal; r is (K*d, n*d) with
-        the permutation undone; applying factors.perm to r's block columns
-        recovers the working form whose leading K*d square is upper
-        triangular.
+        BlockCpqrFactors. q is (K*d, K*d) orthogonal; r is (K*d, n*d) in
+        input column order; applying factors.perm to r's block columns
+        gives the pivoted form whose leading K*d square is upper
+        triangular. Ties between equal residuals go to the smallest block
+        index.
 
     Raises:
         NonFiniteError: x contains NaN or Inf.
@@ -108,42 +116,27 @@ def blockwise_cpqr(x, d):
     if n < big_k:
         raise ValidationError("x must have at least as many block columns as block rows")
 
-    w = x.copy()
     q = np.eye(big_k * d)
-    perm = np.arange(n, dtype=np.int64)
-    rank_deficient = False
-
+    chosen = np.zeros(n, dtype=bool)
+    cols = np.empty(0, dtype=np.int64)
     for t in range(big_k):
-        lo = t * d
-        # Residual Frobenius norm of every unfixed block column, taken over
-        # the rows at and below the current diagonal block.
-        seg = w[lo:, lo:]
-        col_sq = (seg * seg).sum(axis=0)
-        rho_sq = col_sq.reshape(n - t, d).sum(axis=1)
-        j_star = t + int(np.argmax(rho_sq))
-        if j_star != t:
-            lhs = slice(lo, lo + d)
-            rhs = slice(j_star * d, (j_star + 1) * d)
-            w[:, lhs], w[:, rhs] = w[:, rhs].copy(), w[:, lhs].copy()
-            perm[[t, j_star]] = perm[[j_star, t]]
-        for col in range(lo, lo + d):
-            target = w[col:, col].copy()
-            try:
-                refl = householder_reflector(target)
-            except ZeroVectorError:
-                rank_deficient = True
-                continue
-            w[col:, col:] = refl @ w[col:, col:]
-            q[:, col:] = q[:, col:] @ refl
+        # Residual Frobenius norm of every block column in the complement
+        # of the pivot blocks chosen so far.
+        resid = q[:, t * d :].T @ x
+        rho_sq = (resid * resid).reshape(-1, n, d).sum(axis=(0, 2))
+        rho_sq[chosen] = -np.inf
+        j_star = int(np.argmax(rho_sq))
+        chosen[j_star] = True
+        cols = np.concatenate([cols, np.arange(j_star * d, (j_star + 1) * d)])
+        q, _ = np.linalg.qr(x[:, cols], mode="complete")
 
-    inv = np.empty(n, dtype=np.int64)
-    inv[perm] = np.arange(n)
-    r = apply_block_permutation(w, inv)
+    r = q.T @ x
+    pivots = cols[::d] // d
     return BlockCpqrFactors(
         q=q,
         r=r,
-        pivots=perm[:big_k].copy(),
-        perm=perm,
+        pivots=pivots,
+        perm=np.concatenate([pivots, np.flatnonzero(~chosen)]),
         d=d,
-        rank_deficient=rank_deficient,
+        rank_deficient=bool((np.abs(np.diag(r[:, cols])) < _RANK_CUTOFF).any()),
     )

@@ -150,8 +150,14 @@ def top_eigenpairs(a, k, cfg=None):
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(_STREAM_SOLVER,)))
     )
+    # Iterate on A / 2^e, with 2^e the power of two just above the largest
+    # stored entry, so huge finite blocks cannot overflow the residual
+    # norms. Power-of-two scaling is exact: the iterates are those of any
+    # 2^k multiple of A, and the values are scaled back on the way out.
+    peak = max(a.data.max(initial=0.0), -a.data.min(initial=0.0))
+    exponent = int(np.frexp(peak)[1])
     v = _orthonormal_columns(rng.standard_normal((nd, b)))
-    av = a.matvec(v)
+    av = np.ldexp(a.matvec(v), -exponent)
     best = None
     for iteration in range(1, cfg.max_iterations + 1):
         h = v.T @ av
@@ -184,7 +190,7 @@ def top_eigenpairs(a, k, cfg=None):
                 certified = True
             basis = EigenBasis(
                 vectors=x[:, :k].copy(),
-                values=theta[:k].copy(),
+                values=np.ldexp(theta[:k], exponent),
                 residual=float(rel),
                 degenerate_gap=bool(degenerate),
                 iterations=iteration,
@@ -211,7 +217,7 @@ def top_eigenpairs(a, k, cfg=None):
             continue
         if new.shape[1]:
             v = np.hstack([v, new])
-            av = np.hstack([av, a.matvec(new)])
+            av = np.hstack([av, np.ldexp(a.matvec(new), -exponent)])
     raise NoConvergenceError(
         f"no convergence after {cfg.max_iterations} iterations "
         f"(best residual {best.residual if best else float('inf'):.3e})",

@@ -30,10 +30,6 @@ class NonFiniteError(ValidationError):
     """A matrix argument contains NaN or Inf entries."""
 
 
-class ZeroVectorError(ValidationError):
-    """A reflector target vector has norm below the representable cutoff."""
-
-
 class DomainError(ValidationError):
     """A scalar argument lies outside the mathematical domain of a formula."""
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .cpqr import blockwise_cpqr
 from .eigensolver import SolverConfig, top_eigenpairs
-from .errors import NoConvergenceError, ParseError, ValidationError
+from .errors import ParseError, SynclusterError, ValidationError
 from .metrics import alpha_for_eta, beta_for_eta, eta, exact_recovery, snr_ratio, sync_error
 from .model import ModelParams, RandomSource, generate_instance
 from .recovery import assign_and_extract, refine_clusters, refine_transforms
@@ -269,20 +269,21 @@ def _run_trial(task):
         max_iterations=meta["solver_max_iterations"],
         seed=subseed,
     )
+    # A library failure in solving or scoring becomes a row flagged with the
+    # error's name (NoConvergenceError -> NoConvergence), never an abort;
+    # generation stays outside so a bad config still fails fast.
     try:
         factors, result, timings, flags = run_pipeline(
             a, cell["K"], cell["d"], cfg, meta["refine"], meta["fraction"]
         )
-    except NoConvergenceError:
+        exact = int(exact_recovery(result.labels, gt.labels, cell["K"]))
+        error_log = sync_error(result.transforms, gt)
+        snr_min = snr_ratio(factors, gt.labels, cell["d"]) if cell["K"] == 2 else None
+    except SynclusterError as exc:
         values["exact"] = 0
-        values["flags"] = [FLAG_NO_CONVERGENCE]
+        values["flags"] = [type(exc).__name__.removesuffix("Error")]
         return values
-    values.update(timings)
-    values["flags"] = flags
-    values["exact"] = int(exact_recovery(result.labels, gt.labels, cell["K"]))
-    values["sync_error_log"] = sync_error(result.transforms, gt)
-    if cell["K"] == 2:
-        values["snr_min"] = snr_ratio(factors, gt.labels, cell["d"])
+    values.update(timings, flags=flags, exact=exact, sync_error_log=error_log, snr_min=snr_min)
     return values
 
 

@@ -1,32 +1,29 @@
 """Dense small-matrix kernels shared by every other module.
 
-Polar decomposition, Householder reflectors, and Haar-orthogonal sampling,
-all on plain float64 ndarrays. Functions are pure: randomness comes in as an
-explicit generator and nothing mutates its inputs. Verification tolerances
-are module constants so tests never restate magic numbers.
+Polar decomposition and Haar-orthogonal sampling, all on plain float64
+ndarrays. Functions are pure: randomness comes in as an explicit generator
+and nothing mutates its inputs. Verification tolerances are module
+constants so tests never restate magic numbers.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ValidationError, ZeroVectorError
+from .errors import NonFiniteError, ValidationError
 
 # Relative Frobenius bound for orthogonal * psd reconstructing the input.
 POLAR_RECONSTRUCTION_RTOL = 1e-8
 # Frobenius bound on Q^T Q - I for anything claimed orthogonal.
 ORTHOGONALITY_ATOL = 1e-10
-# Bound for reflector identities (symmetry, involution, zeroing).
-REFLECTOR_ATOL = 1e-12
-# Below this norm a reflector target counts as the zero vector.
-ZERO_VECTOR_CUTOFF = 1e-14
 
 
 @dataclass(frozen=True)
 class PolarFactors:
     """Orthogonal factor times symmetric-PSD factor of a square matrix.
 
-    ``orthogonal @ psd`` reconstructs the decomposed matrix. For full-rank
+    ``orthogonal @ psd`` reconstructs the decomposed matrix; for a stack of
+    matrices both factors are stacks of the same shape. For full-rank
     input the orthogonal factor is the unique closest orthogonal matrix in
     Frobenius norm; for singular input it is one valid (non-unique) choice.
     """
@@ -35,37 +32,34 @@ class PolarFactors:
     psd: np.ndarray
 
 
-def _as_square(x, name):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != x.shape[1] or x.shape[0] < 1:
-        raise ValidationError(f"{name} must be a square 2-d array, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise NonFiniteError(f"{name} contains NaN or Inf entries")
-    return x
-
-
 def polar_decompose(x):
-    """Split a square matrix into orthogonal times symmetric PSD.
+    """Split a square matrix, or a stack of them, into orthogonal times PSD.
 
     Computed through the SVD: x = U S V^T gives the orthogonal part U V^T
-    and the PSD part V S V^T. Singular x is handled the same way; the
-    factor pair is then not unique but still reconstructs x.
+    and the PSD part V S V^T, slice by slice for a (..., d, d) stack.
+    Singular x is handled the same way; the factor pair is then not unique
+    but still reconstructs x.
 
     Args:
-        x: square float array.
+        x: square float array, or a stack of them with shape (..., d, d).
 
     Returns:
-        PolarFactors whose product reconstructs x up to rounding.
+        PolarFactors whose product reconstructs x up to rounding, each
+        factor with the shape of x.
 
     Raises:
         NonFiniteError: x contains NaN or Inf.
-        ValidationError: x is not square.
+        ValidationError: the trailing two dimensions of x are not square.
     """
-    x = _as_square(x, "x")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2] or x.shape[-1] < 1:
+        raise ValidationError(f"x must be square in its last two dimensions, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise NonFiniteError("x contains NaN or Inf entries")
     u, s, vt = np.linalg.svd(x)
     orthogonal = u @ vt
-    psd = (vt.T * s) @ vt
-    psd = (psd + psd.T) / 2.0
+    psd = (vt.swapaxes(-1, -2) * s[..., None, :]) @ vt
+    psd = (psd + psd.swapaxes(-1, -2)) / 2.0
     return PolarFactors(orthogonal=orthogonal, psd=psd)
 
 
@@ -104,37 +98,3 @@ def sample_haar_orthogonal(d, rng):
         raise ValidationError("d must be at least 1")
     z = rng.standard_normal((int(d), int(d)))
     return haar_from_normals(z)
-
-
-def householder_reflector(x):
-    """Build the reflector sending x onto a multiple of the first basis vector.
-
-    With alpha = -sign(x[0]) * ||x|| (sign(0) taken as +1) and
-    v = (x - alpha e1) / ||x - alpha e1||, returns Q = I - 2 v v^T, which is
-    orthogonal, symmetric, and satisfies Q x = alpha e1. The sign choice
-    keeps ||x - alpha e1|| away from cancellation.
-
-    Args:
-        x: real vector of length >= 1.
-
-    Returns:
-        (n, n) reflector matrix.
-
-    Raises:
-        ZeroVectorError: ||x|| is below ZERO_VECTOR_CUTOFF; the caller
-            decides what to substitute (the blockwise QR uses the identity).
-        NonFiniteError: x contains NaN or Inf.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size < 1:
-        raise ValidationError(f"x must be a 1-d vector, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise NonFiniteError("x contains NaN or Inf entries")
-    norm = np.linalg.norm(x)
-    if norm < ZERO_VECTOR_CUTOFF:
-        raise ZeroVectorError(f"reflector target has norm {norm:.3e}")
-    alpha = -norm if x[0] >= 0 else norm
-    u = x.copy()
-    u[0] -= alpha
-    v = u / np.linalg.norm(u)
-    return np.eye(x.size) - 2.0 * np.outer(v, v)

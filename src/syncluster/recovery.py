@@ -14,12 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolver import restricted_top_eigenpairs
-from .errors import NonFiniteError, ValidationError
+from .errors import ValidationError
 from .linalg import polar_decompose
 
 # Block columns with total norm below this are treated as all-zero: the
 # node gets cluster 1, the identity transform, and confidence 0.
 _ZERO_COLUMN_CUTOFF = 1e-12
+
+# Similarities held at once by refine_clusters: examined nodes per chunk
+# times n.
+_SIMS_CHUNK_ELEMS = 2**20
 
 FLAG_ZERO_COLUMN = "ZeroColumn"
 FLAG_EMPTY_CLUSTER = "EmptyCluster"
@@ -114,8 +118,13 @@ def refine_clusters(factors, result, fraction=0.10):
     re-examined set (lowest-confidence nodes, about fraction * n of them).
     Each such node moves to the cluster maximizing the size-normalized
     similarity sum over the frozen input clusters,
-    (1 / sqrt(|C_k|)) * sum_j ||R_.i^T R_.j||_F. Labels outside the set and
-    all transforms are unchanged.
+    (1 / sqrt(|C_k|)) * sum_j ||R_.i^T R_.j||_F, ties to the smallest k.
+    Labels outside the set and all transforms are unchanged.
+
+    The similarities come from ||R_.i^T R_.j||_F^2 = <R_.i R_.i^T,
+    R_.j R_.j^T>: one GEMM of the flattened (K*d)^2 Gram rows per chunk
+    of examined nodes. That costs O(f * n^2 * (K*d)^2) flops in total,
+    with memory bounded per chunk by _SIMS_CHUNK_ELEMS similarities.
 
     Args:
         factors: the same BlockCpqrFactors the result came from.
@@ -137,24 +146,22 @@ def refine_clusters(factors, result, fraction=0.10):
     order = np.argsort(result.confidence, kind="stable")
     examined = order[:count]
 
-    members = [result.cluster_nodes(k) for k in range(1, result.cluster_count + 1)]
+    onehot = result.labels[:, None] == np.arange(1, result.cluster_count + 1)
+    sizes = onehot.sum(axis=0)
     flags = tuple(result.flags)
-    if any(m.size == 0 for m in members) and FLAG_EMPTY_CLUSTER not in flags:
+    if (sizes == 0).any() and FLAG_EMPTY_CLUSTER not in flags:
         flags = flags + (FLAG_EMPTY_CLUSTER,)
 
+    blocks = r.reshape(-1, n, d).transpose(1, 0, 2)
+    gram = (blocks @ blocks.transpose(0, 2, 1)).reshape(n, -1)
+    weights = onehot / np.sqrt(np.maximum(sizes, 1))
     labels = result.labels.copy()
-    for i in examined:
-        # d x (n*d) cross-gram of node i's block column with every other.
-        cross = r[:, i * d : (i + 1) * d].T @ r
-        sims = np.sqrt((cross * cross).reshape(d, n, d).sum(axis=(0, 2)))
-        best_k, best_score = int(labels[i]), -np.inf
-        for k, nodes in enumerate(members, start=1):
-            if nodes.size == 0:
-                continue
-            score = sims[nodes].sum() / np.sqrt(nodes.size)
-            if score > best_score:
-                best_k, best_score = k, score
-        labels[i] = best_k
+    step = max(1, _SIMS_CHUNK_ELEMS // n)
+    for lo in range(0, count, step):
+        chunk = examined[lo : lo + step]
+        sims = np.sqrt(np.maximum(gram[chunk] @ gram.T, 0.0))
+        scores = np.where(sizes > 0, sims @ weights, -np.inf)
+        labels[chunk] = np.argmax(scores, axis=1) + 1
     return RecoveryResult(
         labels=labels,
         transforms=result.transforms,
@@ -246,11 +253,7 @@ def refine_transforms(a, result, cfg=None):
         for c in range(int(components.max()) + 1):
             comp_nodes = nodes[components == c]
             blocks = restricted_top_eigenpairs(a, comp_nodes, d, cfg).vectors.reshape(-1, d, d)
-            if not np.isfinite(blocks).all():
-                raise NonFiniteError("restricted eigenvectors contain NaN or Inf entries")
-            # Polar factors of every node's block in one stacked SVD.
-            u, _, vt = np.linalg.svd(blocks)
-            transforms[comp_nodes] = u @ vt
+            transforms[comp_nodes] = polar_decompose(blocks).orthogonal
     return RecoveryResult(
         labels=result.labels,
         transforms=transforms,

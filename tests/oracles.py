@@ -4,7 +4,8 @@ Every routine here deliberately takes a different computational route from
 the code under test: Gram-Schmidt projection instead of Householder
 reflections, dense LAPACK eigendecompositions instead of iterative Lanczos,
 scipy's polar/Procrustes instead of our SVD assembly, scipy's graph search
-instead of our label propagation, Decimal arithmetic instead of float64.
+instead of our label propagation, per-node cross-grams instead of one Gram
+GEMM, Decimal arithmetic instead of float64.
 Tests compare the two routes; neither is derived from the other.
 """
 
@@ -60,8 +61,9 @@ def block_residual_norms(x, chosen_blocks, d):
 
     Projects out the span of the already-chosen block columns (via a dense
     QR of their concatenation), then reports the Frobenius norm of what is
-    left of each block column. Mirrors what one CPQR round measures, by a
-    projection route instead of accumulated reflections.
+    left of each block column. Mirrors what one CPQR round measures, by
+    subtracting the projection from x instead of reading x's coordinates
+    in the orthogonal complement.
 
     Returns:
         Array of length n_blocks; chosen blocks report -1.
@@ -79,6 +81,33 @@ def block_residual_norms(x, chosen_blocks, d):
         out[b] = np.linalg.norm(resid[:, b * d : (b + 1) * d])
     for b in chosen_blocks:
         out[b] = -1.0
+    return out
+
+
+def refine_clusters_labels_oracle(r, d, labels, confidence, cluster_count, fraction):
+    """Labels after the refine_clusters vote, one examined node at a time.
+
+    Each of the round(fraction * n) least-confident nodes (stable order)
+    takes the cluster maximizing sum_j ||R_.i^T R_.j||_F / sqrt(|C_k|) over
+    the frozen input clusters, skipping empty ones, ties to the smallest k.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    n = r.shape[1] // d
+    examined = np.argsort(confidence, kind="stable")[: int(round(fraction * n))]
+    members = [np.flatnonzero(labels == k) for k in range(1, cluster_count + 1)]
+    out = np.array(labels, copy=True)
+    for i in examined:
+        # d x (n*d) cross-gram of node i's block column with every other.
+        cross = r[:, i * d : (i + 1) * d].T @ r
+        sims = np.sqrt((cross * cross).reshape(d, n, d).sum(axis=(0, 2)))
+        best_k, best_score = int(labels[i]), -np.inf
+        for k, nodes in enumerate(members, start=1):
+            if nodes.size == 0:
+                continue
+            score = sims[nodes].sum() / np.sqrt(nodes.size)
+            if score > best_score:
+                best_k, best_score = k, score
+        out[i] = best_k
     return out
 
 

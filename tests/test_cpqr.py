@@ -180,3 +180,5 @@ def test_factors_expose_block_shape():
     assert factors.block_cols == 6
     assert sorted(factors.perm) == list(range(6))
     assert np.array_equal(factors.pivots, factors.perm[:2])
+    # The unchosen blocks follow the pivots in ascending order.
+    assert list(factors.perm[2:]) == sorted(factors.perm[2:])

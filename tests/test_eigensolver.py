@@ -8,9 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from syncluster.cpqr import blockwise_cpqr
 from syncluster.eigensolver import EigenBasis, SolverConfig, restricted_top_eigenpairs, top_eigenpairs
 from syncluster.errors import NoConvergenceError, ValidationError
+from syncluster.metrics import exact_recovery
 from syncluster.model import ModelParams, SparseBlockMatrix, clean_observation, generate_instance
+from syncluster.recovery import assign_and_extract
 
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
 cases = st.tuples(
@@ -105,6 +108,31 @@ def test_zero_matrix_converges_to_zero_values():
     basis = top_eigenpairs(a, 3, SolverConfig(seed=0))
     assert np.abs(basis.values).max() == 0.0
     assert basis.residual == 0.0
+
+
+def _scaled(a, factor):
+    return SparseBlockMatrix(a.n, a.d, a.pairs, a.data * factor)
+
+
+@pytest.mark.parametrize("power", [-600, -3, 5, 600])
+def test_power_of_two_scaling_is_exact(power):
+    _, a = _instance(8, 14, 2, 2, 7, 3, sigma=0.2)
+    base = top_eigenpairs(a, 4, SolverConfig(seed=1))
+    scaled = top_eigenpairs(_scaled(a, 2.0**power), 4, SolverConfig(seed=1))
+    assert np.array_equal(scaled.vectors, base.vectors)
+    assert np.array_equal(scaled.values, base.values * 2.0**power)
+    assert scaled.iterations == base.iterations
+
+
+def test_huge_finite_blocks_recover_exactly():
+    # Entries of 1e300 square to inf; the solver must not see them unscaled.
+    gt, a = _instance(4, 12, 2, 2, 10, 0)
+    huge = _scaled(a, 1e300)
+    basis = top_eigenpairs(huge, 4, SolverConfig(seed=2))
+    assert np.isfinite(basis.values).all()
+    assert np.allclose(basis.values, top_eigenpairs(a, 4, SolverConfig(seed=2)).values * 1e300)
+    result = assign_and_extract(blockwise_cpqr(basis.vectors.T, 2), 2, 2)
+    assert exact_recovery(result.labels, gt.labels, 2)
 
 
 def test_restricted_solver_matches_dense_submatrix():

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import syncluster
-from syncluster.errors import ParseError, ValidationError
+from syncluster import harness
+from syncluster.errors import NonFiniteError, ParseError, ValidationError
 from syncluster.harness import (
     BENCH_COLUMNS,
     CSV_COLUMNS,
@@ -207,6 +208,22 @@ def test_nonconvergent_trials_become_flagged_rows(tmp_path):
     assert rows[1][sync_col] == ""
 
 
+@pytest.mark.parametrize(
+    "stage, error, flag",
+    [("run_pipeline", NonFiniteError, "NonFinite"), ("sync_error", ValidationError, "Validation")],
+)
+def test_any_library_error_in_a_trial_becomes_a_flagged_row(monkeypatch, stage, error, flag):
+    def broken(*args, **kwargs):
+        raise error("planted")
+
+    monkeypatch.setattr(harness, stage, broken)
+    results, summaries = run_sweep(_small_spec(trials=2, workers=1))
+    assert all(v["flags"] == [flag] for v in results)
+    assert all(v["exact"] == 0 for v in results)
+    assert all(v["sync_error_log"] is None for v in results)
+    assert summaries[0]["exact"] == 0.0
+
+
 def test_manifest_describes_the_run(tmp_path):
     out = tmp_path / "sweep.csv"
     spec = _small_spec()
@@ -374,3 +391,8 @@ def test_import_and_solve_never_load_scipy():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in syncluster.__all__ if not hasattr(syncluster, name)]
+    assert missing == []

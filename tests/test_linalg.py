@@ -1,4 +1,4 @@
-"""Polar decomposition, Householder reflectors, Haar sampling."""
+"""Polar decomposition and Haar sampling."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from syncluster.errors import NonFiniteError, ValidationError, ZeroVectorError
+from syncluster.errors import NonFiniteError, ValidationError
 from syncluster.linalg import (
     ORTHOGONALITY_ATOL,
     POLAR_RECONSTRUCTION_RTOL,
-    REFLECTOR_ATOL,
-    ZERO_VECTOR_CUTOFF,
     haar_from_normals,
-    householder_reflector,
     polar_decompose,
     sample_haar_orthogonal,
 )
@@ -58,14 +55,18 @@ def test_property_reconstruction_polar(seed, d, expo):
     assert err <= POLAR_RECONSTRUCTION_RTOL * max(1.0, np.linalg.norm(x))
 
 
-@given(seeds, dims)
-def test_polar_matches_scipy_oracle(seed, d):
+@given(seeds, dims, st.integers(min_value=0, max_value=5))
+def test_polar_matches_scipy_oracle(seed, d, slices):
+    # slices == 0 is a single matrix; otherwise a stack of that many.
     rng = _gen(seed)
-    x = _conditioned_matrix(rng, d)
+    xs = [_conditioned_matrix(rng, d) for _ in range(max(slices, 1))]
+    x = np.stack(xs) if slices else xs[0]
     mine = polar_decompose(x)
-    u_ref, p_ref = oracles.polar_oracle(x)
-    assert np.linalg.norm(mine.orthogonal - u_ref) <= 1e-9
-    assert np.linalg.norm(mine.psd - p_ref) <= 1e-9
+    assert mine.orthogonal.shape == mine.psd.shape == x.shape
+    for x_t, u_t, p_t in zip(xs, mine.orthogonal.reshape(-1, d, d), mine.psd.reshape(-1, d, d)):
+        u_ref, p_ref = oracles.polar_oracle(x_t)
+        assert np.linalg.norm(u_t - u_ref) <= 1e-9
+        assert np.linalg.norm(p_t - p_ref) <= 1e-9
 
 
 @given(seeds, dims)
@@ -114,46 +115,14 @@ def test_polar_rejects_bad_input():
         polar_decompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValidationError):
         polar_decompose(np.zeros(4))
-
-
-@given(seeds, st.integers(min_value=1, max_value=12), scale_exponents)
-def test_property_orthogonality_householder(seed, size, expo):
-    rng = _gen(seed)
-    x = rng.standard_normal(size) * 10.0**expo
-    q = householder_reflector(x)
-    assert np.linalg.norm(q - q.T) <= REFLECTOR_ATOL
-    assert np.linalg.norm(q @ q - np.eye(size)) <= REFLECTOR_ATOL
-    y = q @ x
-    assert np.abs(y[1:]).max(initial=0.0) <= REFLECTOR_ATOL * max(1.0, np.linalg.norm(x))
-    assert y[0] == pytest.approx(-np.sign(x[0]) * np.linalg.norm(x) if x[0] != 0 else -np.linalg.norm(x), rel=1e-12)
-
-
-def test_householder_zero_first_component_sign_convention():
-    q = householder_reflector(np.array([0.0, 1.0]))
-    assert np.allclose(q @ np.array([0.0, 1.0]), np.array([-1.0, 0.0]), atol=1e-15)
-
-
-def test_householder_length_five_example(rng):
-    x = rng.standard_normal(5)
-    q = householder_reflector(x)
-    assert np.linalg.norm(q.T @ q - np.eye(5)) <= 1e-12
-    assert np.abs((q @ x)[1:]).max() <= 1e-12 * max(1.0, np.linalg.norm(x))
-
-
-def test_householder_zero_vector_cutoff():
-    with pytest.raises(ZeroVectorError):
-        householder_reflector(np.zeros(3))
-    with pytest.raises(ZeroVectorError):
-        householder_reflector(np.array([0.5e-14]))
-    q = householder_reflector(np.array([2e-14]))
-    assert q.shape == (1, 1)
-
-
-def test_householder_rejects_bad_input():
     with pytest.raises(ValidationError):
-        householder_reflector(np.zeros((2, 2)))
+        polar_decompose(np.zeros((3, 2, 3)))
+    with pytest.raises(ValidationError):
+        polar_decompose(np.zeros((3, 0, 0)))
+    stack = np.stack([np.eye(2)] * 4)
+    stack[2, 1, 0] = np.nan
     with pytest.raises(NonFiniteError):
-        householder_reflector(np.array([1.0, np.inf]))
+        polar_decompose(stack)
 
 
 @given(seeds, dims)

@@ -179,6 +179,33 @@ def test_refine_clusters_flags_empty_cluster():
     assert FLAG_EMPTY_CLUSTER in refined.flags
 
 
+@given(
+    seeds,
+    st.integers(min_value=1, max_value=4),  # K
+    st.integers(min_value=1, max_value=3),  # d
+    st.integers(min_value=1, max_value=40),  # block columns
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_refine_clusters_matches_per_node_oracle(seed, big_k, d, n, fraction):
+    rng = _gen(seed)
+    r = rng.standard_normal((big_k * d, n * d))
+    # Labels come from a random subset of the clusters, so some may be empty.
+    used = rng.choice(big_k, size=int(rng.integers(1, big_k + 1)), replace=False) + 1
+    labels = rng.choice(used, size=n)
+    confidence = rng.random(n)
+    result = RecoveryResult(
+        labels=labels,
+        transforms=np.broadcast_to(np.eye(d), (n, d, d)),
+        confidence=confidence,
+        cluster_count=big_k,
+    )
+    refined = refine_clusters(_factors_from_r(r, d), result, fraction)
+    want = oracles.refine_clusters_labels_oracle(r, d, labels, confidence, big_k, fraction)
+    assert np.array_equal(refined.labels, want)
+    examined_any = int(round(fraction * n)) > 0
+    assert (FLAG_EMPTY_CLUSTER in refined.flags) == (examined_any and np.unique(labels).size < big_k)
+
+
 def _ring_matrix(n, d, seed):
     """Clean single-cluster ring: pairs (i, i+1) and (0, n-1)."""
     rng = _gen(seed)
