@@ -10,7 +10,7 @@ exact on noiseless instances.
 __version__ = "0.1.0"
 
 from .cpqr import BlockCpqrFactors, apply_block_permutation, blockwise_cpqr
-from .eigensolver import EigenBasis, SolverConfig, restricted_top_eigenpairs, top_eigenpairs
+from .eigensolver import EigenBasis, SolverConfig, top_eigenpairs
 from .errors import (
     DomainError,
     NoConvergenceError,
@@ -35,7 +35,6 @@ from .model import (
     RandomSource,
     SparseBlockMatrix,
     add_gaussian_noise,
-    clean_observation,
     generate_ground_truth,
     generate_instance,
     generate_observation,
@@ -77,7 +76,6 @@ __all__ = [
     "assign_and_extract",
     "beta_for_eta",
     "blockwise_cpqr",
-    "clean_observation",
     "connectivity_check",
     "eta",
     "exact_recovery",
@@ -90,7 +88,6 @@ __all__ = [
     "polar_decompose",
     "refine_clusters",
     "refine_transforms",
-    "restricted_top_eigenpairs",
     "sample_haar_orthogonal",
     "save_ground_truth",
     "save_labeling",

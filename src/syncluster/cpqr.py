@@ -42,26 +42,15 @@ class BlockCpqrFactors:
     d: int
     rank_deficient: bool = False
 
-    @property
-    def block_rows(self):
-        return self.q.shape[0] // self.d
 
-    @property
-    def block_cols(self):
-        return self.r.shape[1] // self.d
-
-
-def apply_block_permutation(m, perm, inverse=False):
+def apply_block_permutation(m, perm):
     """Permute a matrix by blocks of d columns, d inferred from widths.
 
-    Forward: block column j of the output is block column perm[j] of the
-    input. inverse=True applies the opposite direction, so applying one
-    after the other is the identity.
+    Block column j of the output is block column perm[j] of the input.
 
     Args:
         m: array whose column count is a multiple of len(perm).
         perm: permutation of 0..n-1 as an integer array.
-        inverse: apply the inverse permutation instead.
 
     Returns:
         Permuted copy of m.
@@ -77,10 +66,6 @@ def apply_block_permutation(m, perm, inverse=False):
         raise ValidationError("column count must be a positive multiple of len(perm)")
     if not np.array_equal(np.sort(perm), np.arange(n)):
         raise ValidationError("perm must be a bijection on 0..n-1")
-    if inverse:
-        inv = np.empty(n, dtype=np.int64)
-        inv[perm] = np.arange(n)
-        perm = inv
     d = m.shape[1] // n
     cols = (perm[:, None] * d + np.arange(d)[None, :]).ravel()
     return m[:, cols].copy()

@@ -2,10 +2,10 @@
 
 Block Lanczos with full reorthogonalization and thick restarts. The matrix
 is touched only through SparseBlockMatrix.matvec, one call per expansion
-of block_size columns, so each product costs O(d^2 * pair_count *
-block_size) flops in batched GEMMs and the square matrix is never
-materialized; auxiliary memory is one basis of at most a few
-block_size-width panels.
+of b = k + 1 columns for k requested eigenpairs, so each product costs
+O(d^2 * pair_count * b) flops in batched GEMMs and the square matrix is
+never materialized; auxiliary memory is one basis of at most a few
+b-width panels.
 
 "Top" means largest algebraic eigenvalues throughout: the signal part of
 the observation model is positive semi-definite, while noise can push
@@ -41,18 +41,12 @@ class SolverConfig:
     """Iteration controls for the block Lanczos solver.
 
     tolerance is relative to the operator-norm estimate taken from the
-    Ritz values. block_size defaults to one past the requested eigenpair
-    count: a block Krylov space resolves at most block_size directions of
-    any one eigenvalue, so the extra column keeps the value past the cut
-    (and with it the degenerate-gap certificate) visible even when the cut
-    lands inside a multiple eigenvalue. Explicitly smaller blocks trade
-    that certificate for a little speed. seed drives the random starting
-    basis, keeping runs reproducible.
+    Ritz values. seed drives the random starting basis, keeping runs
+    reproducible.
     """
 
     tolerance: float = 1e-8
     max_iterations: int = 5000
-    block_size: int = None
     seed: int = 0
 
     def __post_init__(self):
@@ -60,8 +54,6 @@ class SolverConfig:
             raise ValidationError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be at least 1")
-        if self.block_size is not None and self.block_size < 1:
-            raise ValidationError("block_size must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -142,8 +134,11 @@ def top_eigenpairs(a, k, cfg=None):
     k = int(k)
     if not 1 <= k <= nd:
         raise ValidationError(f"k must lie in 1..{nd}")
-    b = cfg.block_size if cfg.block_size is not None else k + 1
-    b = min(b, nd)
+    # A block Krylov space resolves at most b directions of any one
+    # eigenvalue, so one column past the requested count keeps the value
+    # past the cut (and with it the degenerate-gap certificate) visible even
+    # when the cut lands inside a multiple eigenvalue.
+    b = min(k + 1, nd)
     # Keep enough width after a restart to look one value past the cut, so
     # the degenerate-gap check sees lambda_{k+1}.
     cap = min(nd, max(4 * b, k + 2 * b, k + 2))
@@ -167,20 +162,19 @@ def top_eigenpairs(a, k, cfg=None):
         y = y[:, ::-1]
         s = v.shape[1]
         norm_est = max(abs(theta[0]), abs(theta[-1]))
-        wanted_width = min(k + 1, nd)
-        if s >= wanted_width:
+        if s >= b:
             # The pair past the cut joins the convergence check only as far
             # as the degenerate-gap flag needs it: resolved to a fraction of
             # the measured gap when the gap is wide, to full tolerance when
             # the gap collapses (where it converges quickly anyway, the
             # block being wide enough to cover the cluster at the cut).
-            x = v @ y[:, :wanted_width]
-            ax = av @ y[:, :wanted_width]
-            rmat = ax - x * theta[:wanted_width]
+            x = v @ y[:, :b]
+            ax = av @ y[:, :b]
+            rmat = ax - x * theta[:b]
             scale = max(norm_est, 1e-300)
             rel = np.linalg.norm(rmat[:, :k]) / scale
             overall = np.linalg.norm(rmat) / scale
-            if wanted_width > k:
+            if b > k:
                 gap = abs(theta[k - 1] - theta[k])
                 degenerate = gap <= _DEGENERATE_GAP_RTOL * abs(theta[0])
                 tail = float(np.linalg.norm(rmat[:, k:])) / scale
@@ -213,8 +207,6 @@ def top_eigenpairs(a, k, cfg=None):
             v = v @ y[:, :keep]
             av = av @ y[:, :keep]
         new = _expand_basis(v, av[:, -b:], b, rng)
-        if new.shape[1] == 0 and v.shape[1] == nd:
-            continue
         if new.shape[1]:
             v = np.hstack([v, new])
             av = np.hstack([av, np.ldexp(a.matvec(new), -exponent)])
@@ -223,15 +215,3 @@ def top_eigenpairs(a, k, cfg=None):
         f"(best residual {best.residual if best else float('inf'):.3e})",
         best=best,
     )
-
-
-def restricted_top_eigenpairs(a, nodes, k, cfg=None):
-    """top_eigenpairs on the principal block submatrix over `nodes`.
-
-    The returned vectors live in the restricted index space: row block t
-    corresponds to the t-th node of sorted(nodes).
-    """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    if nodes.size == 0:
-        raise ValidationError("nodes must be non-empty")
-    return top_eigenpairs(a.restrict(nodes), k, cfg)

@@ -258,15 +258,15 @@ def _generate_instance(cell, sizes, subseed):
 
 def _run_trial(task):
     """One (cell, trial): generate, run, evaluate. Returns a value dict."""
-    cell, cell_idx, trial, subseed, meta = task
+    cell, trial, subseed, spec = task
     values = dict(cell)
     values.update(trial=trial, subseed=subseed, exact=None, sync_error_log=None,
                   snr_min=None, t_eigen_ms=0.0, t_cpqr_ms=0.0, t_recover_ms=0.0,
                   t_refine_ms=0.0, flags=[])
-    gt, a = _generate_instance(cell, meta["sizes"], subseed)
+    gt, a = _generate_instance(cell, spec.sizes, subseed)
     cfg = SolverConfig(
-        tolerance=meta["solver_tolerance"],
-        max_iterations=meta["solver_max_iterations"],
+        tolerance=spec.solver_tolerance,
+        max_iterations=spec.solver_max_iterations,
         seed=subseed,
     )
     # A library failure in solving or scoring becomes a row flagged with the
@@ -274,7 +274,7 @@ def _run_trial(task):
     # generation stays outside so a bad config still fails fast.
     try:
         factors, result, timings, flags = run_pipeline(
-            a, cell["K"], cell["d"], cfg, meta["refine"], meta["fraction"]
+            a, cell["K"], cell["d"], cfg, spec.refine, spec.fraction
         )
         exact = int(exact_recovery(result.labels, gt.labels, cell["K"]))
         error_log = sync_error(result.transforms, gt)
@@ -341,16 +341,9 @@ def run_sweep(spec, out_path=None):
     """
     spec.validate()
     cells = resolve_cells(spec)
-    meta = {
-        "sizes": spec.sizes,
-        "refine": spec.refine,
-        "fraction": spec.fraction,
-        "solver_tolerance": spec.solver_tolerance,
-        "solver_max_iterations": spec.solver_max_iterations,
-    }
     master = RandomSource(spec.seed)
     tasks = [
-        (cell, ci, t, master.subseed(ci, t), meta)
+        (cell, t, master.subseed(ci, t), spec)
         for ci, cell in enumerate(cells)
         for t in range(spec.trials)
     ]
@@ -423,10 +416,7 @@ def run_runtime_bench(spec, out_path=None):
     rows = []
     per_phase = {"eigen": [], "cpqr": [], "recover": [], "refine": [], "excl_eigen": [], "total": []}
     for ni, n in enumerate(spec.n_values):
-        p = _derived_prob(density, n, "alpha")
-        cell = {"mode": "runtime", "n": n, "K": spec.K, "d": spec.d,
-                "alpha": density, "beta": density, "p": p, "q": p,
-                "sigma": spec.sigma, "eta": eta(n, p, p, spec.d)}
+        cell = _cell(spec, n=n, alpha=density, beta=density)
         samples = {k: [] for k in per_phase}
         for rep in range(_BENCH_REPS + 1):
             subseed = master.subseed(ni, rep)

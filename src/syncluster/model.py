@@ -153,9 +153,10 @@ class GroundTruth:
 class SparseBlockMatrix:
     """Symmetric n x n matrix of d x d blocks, sparse by block.
 
-    Only blocks (i, j) with i < j are stored; reading (j, i) returns the
-    transpose and diagonal blocks are zero. The backing arrays are marked
-    read-only at construction, so instances are safe to share.
+    Only blocks (i, j) with i < j are stored, as matching rows of pairs and
+    data; block (j, i) is the transpose and diagonal blocks are zero. The
+    backing arrays are marked read-only at construction, so instances are
+    safe to share.
     """
 
     def __init__(self, n, d, pairs, data):
@@ -163,10 +164,14 @@ class SparseBlockMatrix:
         self.d = int(d)
         if self.n < 1 or self.d < 1:
             raise ValidationError("n and d must be at least 1")
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        data = np.asarray(data, dtype=np.float64).reshape(-1, self.d, self.d)
-        if pairs.shape[0] != data.shape[0]:
-            raise ValidationError("pairs and data must have matching lengths")
+        pairs = np.asarray(pairs, dtype=np.int64)
+        data = np.asarray(data, dtype=np.float64)
+        if pairs.size % 2:
+            raise ValidationError("pairs must hold (i, j) index pairs")
+        pairs = pairs.reshape(-1, 2)
+        if data.size != pairs.shape[0] * self.d * self.d:
+            raise ValidationError("data must hold one d x d block per pair")
+        data = data.reshape(-1, self.d, self.d)
         if not np.isfinite(data).all():
             raise NonFiniteError("block data contains NaN or Inf entries")
         if pairs.size:
@@ -185,19 +190,7 @@ class SparseBlockMatrix:
         data.flags.writeable = False
         self.pairs = pairs
         self.data = data
-        self._block_map = None
         self._matvec_cache = None
-
-    @classmethod
-    def from_block_map(cls, n, d, mapping):
-        """Build from a {(i, j): block} dict with i < j keys."""
-        if mapping:
-            pairs = np.array(sorted(mapping.keys()), dtype=np.int64)
-            data = np.stack([np.asarray(mapping[tuple(p)], dtype=np.float64) for p in pairs])
-        else:
-            pairs = np.empty((0, 2), dtype=np.int64)
-            data = np.empty((0, d, d), dtype=np.float64)
-        return cls(n, d, pairs, data)
 
     @property
     def nd(self):
@@ -206,27 +199,6 @@ class SparseBlockMatrix:
     @property
     def pair_count(self):
         return self.pairs.shape[0]
-
-    @property
-    def blocks(self):
-        """Read-only {(i, j): block} view of the stored upper-triangle blocks."""
-        if self._block_map is None:
-            self._block_map = {
-                (int(i), int(j)): self.data[r] for r, (i, j) in enumerate(self.pairs)
-            }
-        return self._block_map
-
-    def block(self, i, j):
-        """The (i, j) block; zeros when absent or on the diagonal."""
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise ValidationError("block indices out of range")
-        if i == j:
-            return np.zeros((self.d, self.d))
-        if i < j:
-            hit = self.blocks.get((i, j))
-            return hit if hit is not None else np.zeros((self.d, self.d))
-        hit = self.blocks.get((j, i))
-        return hit.T if hit is not None else np.zeros((self.d, self.d))
 
     def _matvec_tiles(self):
         # Slots grouped by destination node, in both directions: stored
@@ -371,8 +343,7 @@ def generate_ground_truth(params, source=None):
 
 def _pair_grid(n):
     """All unordered pairs i < j in lexicographic order."""
-    i_arr, j_arr = np.triu_indices(n, k=1)
-    return i_arr.astype(np.int64), j_arr.astype(np.int64)
+    return np.triu_indices(n, k=1)
 
 
 def generate_observation(gt, p, q, source):
@@ -381,7 +352,8 @@ def generate_observation(gt, p, q, source):
     Independently for each unordered pair i < j: a same-cluster pair carries
     the exact relative transform O_i O_j^T with probability p; a cross-pair
     carries a Haar-uniform block with probability q; otherwise the pair is
-    absent. Setting p=1, q=0 reproduces clean_observation exactly.
+    absent. Setting p=1, q=0 gives the noiseless matrix, which stores
+    exactly the same-cluster pairs.
 
     Args:
         gt: GroundTruth.
@@ -433,17 +405,6 @@ def generate_instance(params, source=None):
     if params.sigma > 0:
         a = add_gaussian_noise(a, params.sigma, source)
     return gt, a
-
-
-def clean_observation(gt):
-    """The noiseless matrix: block (i, j) = O_i O_j^T iff same cluster."""
-    i_arr, j_arr = _pair_grid(gt.n)
-    same = gt.labels[i_arr] == gt.labels[j_arr]
-    oi = gt.transforms[i_arr[same]]
-    oj = gt.transforms[j_arr[same]]
-    data = np.matmul(oi, oj.transpose(0, 2, 1))
-    pairs = np.column_stack((i_arr[same], j_arr[same]))
-    return SparseBlockMatrix(gt.n, gt.d, pairs, data)
 
 
 def add_gaussian_noise(a, sigma, source):
@@ -544,12 +505,14 @@ def save_labeling(path, K, labels, transforms):
     """
     labels = np.asarray(labels, dtype=np.int64)
     transforms = np.asarray(transforms, dtype=np.float64)
+    if labels.ndim != 1:
+        raise ValidationError("labels must be a 1-d array")
     n = labels.shape[0]
-    if transforms.shape[:1] != (n,) or transforms.shape[1] != transforms.shape[2]:
+    d = transforms.shape[-1] if transforms.ndim else 0
+    if transforms.shape != (n, d, d):
         raise ValidationError("transforms must be an (n, d, d) stack")
     if n and (labels.min() < 1 or labels.max() > K):
         raise ValidationError("labels must lie in 1..K")
-    d = transforms.shape[1]
     trip = np.empty(n, dtype=_triplet_dtype(d))
     trip["i"] = np.arange(n)
     trip["j"] = np.arange(n)

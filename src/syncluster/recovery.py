@@ -9,11 +9,11 @@ re-estimate transforms from per-cluster restricted eigenvectors, which is
 exact on noiseless connected clusters.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eigensolver import restricted_top_eigenpairs
+from .eigensolver import top_eigenpairs
 from .errors import ValidationError
 from .linalg import polar_decompose
 
@@ -45,7 +45,6 @@ class RecoveryResult:
     transforms: np.ndarray
     confidence: np.ndarray
     cluster_count: int
-    rank_deficient: bool = False
     flags: tuple = ()
 
     def cluster_nodes(self, k):
@@ -106,7 +105,6 @@ def assign_and_extract(factors, big_k, d):
         transforms=transforms,
         confidence=confidence,
         cluster_count=big_k,
-        rank_deficient=factors.rank_deficient,
         flags=flags,
     )
 
@@ -162,14 +160,7 @@ def refine_clusters(factors, result, fraction=0.10):
         sims = np.sqrt(np.maximum(gram[chunk] @ gram.T, 0.0))
         scores = np.where(sizes > 0, sims @ weights, -np.inf)
         labels[chunk] = np.argmax(scores, axis=1) + 1
-    return RecoveryResult(
-        labels=labels,
-        transforms=result.transforms,
-        confidence=result.confidence,
-        cluster_count=result.cluster_count,
-        rank_deficient=result.rank_deficient,
-        flags=flags,
-    )
+    return replace(result, labels=labels, flags=flags)
 
 
 def connectivity_check(a, nodes):
@@ -177,7 +168,7 @@ def connectivity_check(a, nodes):
 
     Args:
         a: SparseBlockMatrix.
-        nodes: non-empty node subset.
+        nodes: non-empty subset of 0..a.n-1.
 
     Returns:
         (connected, components): components labels each entry of
@@ -186,6 +177,8 @@ def connectivity_check(a, nodes):
     nodes = np.unique(np.asarray(nodes, dtype=np.int64))
     if nodes.size == 0:
         raise ValidationError("nodes must be non-empty")
+    if nodes.min() < 0 or nodes.max() >= a.n:
+        raise ValidationError("nodes out of range")
     lookup = np.full(a.n, -1, dtype=np.int64)
     lookup[nodes] = np.arange(nodes.size)
 
@@ -231,8 +224,8 @@ def refine_transforms(a, result, cfg=None):
         cfg: SolverConfig for the restricted eigensolves.
 
     Returns:
-        New RecoveryResult with updated transforms. Labels, confidence,
-        and rank_deficient carry over.
+        New RecoveryResult with updated transforms. Labels and confidence
+        carry over.
 
     Raises:
         NoConvergenceError: propagated from the eigensolver.
@@ -252,13 +245,6 @@ def refine_transforms(a, result, cfg=None):
             flags = flags + (FLAG_DISCONNECTED_CLUSTER,)
         for c in range(int(components.max()) + 1):
             comp_nodes = nodes[components == c]
-            blocks = restricted_top_eigenpairs(a, comp_nodes, d, cfg).vectors.reshape(-1, d, d)
+            blocks = top_eigenpairs(a.restrict(comp_nodes), d, cfg).vectors.reshape(-1, d, d)
             transforms[comp_nodes] = polar_decompose(blocks).orthogonal
-    return RecoveryResult(
-        labels=result.labels,
-        transforms=transforms,
-        confidence=result.confidence,
-        cluster_count=result.cluster_count,
-        rank_deficient=result.rank_deficient,
-        flags=flags,
-    )
+    return replace(result, transforms=transforms, flags=flags)

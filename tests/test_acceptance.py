@@ -14,7 +14,6 @@ import numpy as np
 from hypothesis import settings
 
 import oracles
-from conftest import PROPERTY_EXAMPLES
 from syncluster.cpqr import apply_block_permutation, blockwise_cpqr
 from syncluster.eigensolver import SolverConfig, top_eigenpairs
 from syncluster.harness import SweepSpec, run_runtime_bench, run_sweep
@@ -305,7 +304,7 @@ def test_criterion_11_property_suites_cover_all_families():
     ok = examples >= 200 and all(counts[fam] >= 1 for fam in families)
     detail = " ".join(f"{fam}={counts[fam]}" for fam in families)
     _report(11, ok, f"{detail}, examples={examples}")
-    assert PROPERTY_EXAMPLES >= 200
+    assert settings.get_profile("bulk").max_examples >= 200
     assert examples >= 200
     for fam in families:
         assert counts[fam] >= 1, counts

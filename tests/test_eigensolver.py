@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import oracles
 from syncluster.cpqr import blockwise_cpqr
-from syncluster.eigensolver import EigenBasis, SolverConfig, restricted_top_eigenpairs, top_eigenpairs
+from syncluster.eigensolver import EigenBasis, SolverConfig, top_eigenpairs
 from syncluster.errors import NoConvergenceError, ValidationError
 from syncluster.metrics import exact_recovery
-from syncluster.model import ModelParams, SparseBlockMatrix, clean_observation, generate_instance
+from syncluster.model import ModelParams, SparseBlockMatrix, generate_instance
 from syncluster.recovery import assign_and_extract
 
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
@@ -138,12 +138,12 @@ def test_huge_finite_blocks_recover_exactly():
 def test_restricted_solver_matches_dense_submatrix():
     gt, a = _instance(6, 12, 2, 2, 9, 3)
     nodes = np.array([1, 3, 4, 7, 9])
-    basis = restricted_top_eigenpairs(a, nodes, 2, SolverConfig(seed=4))
+    basis = top_eigenpairs(a.restrict(nodes), 2, SolverConfig(seed=4))
     rows = np.concatenate([np.arange(i * 2, (i + 1) * 2) for i in nodes])
     want_vals, _ = oracles.dense_top_eigenpairs(a.to_dense()[np.ix_(rows, rows)], 2)
     assert np.abs(basis.values - want_vals).max() <= 1e-6 * max(1.0, abs(want_vals[0]))
     with pytest.raises(ValidationError):
-        restricted_top_eigenpairs(a, np.array([], dtype=np.int64), 1)
+        a.restrict([])
 
 
 def test_no_convergence_carries_best_iterate():
@@ -177,16 +177,6 @@ def test_solver_config_validation():
         SolverConfig(tolerance=0.0)
     with pytest.raises(ValidationError):
         SolverConfig(max_iterations=0)
-    with pytest.raises(ValidationError):
-        SolverConfig(block_size=0)
-
-
-def test_block_size_only_changes_path_not_answer():
-    gt, a = _instance(10, 14, 2, 2, 9, 2)
-    b1 = top_eigenpairs(a, 4, SolverConfig(seed=6, block_size=2))
-    b2 = top_eigenpairs(a, 4, SolverConfig(seed=6, block_size=6))
-    assert np.abs(b1.values - b2.values).max() <= 1e-7
-    assert oracles.projector_distance(b1.vectors, b2.vectors) <= 1e-6
 
 
 def test_never_materializes_dense_matrix():

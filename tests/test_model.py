@@ -13,7 +13,6 @@ from syncluster.model import (
     RandomSource,
     SparseBlockMatrix,
     add_gaussian_noise,
-    clean_observation,
     generate_ground_truth,
     generate_instance,
     generate_observation,
@@ -99,14 +98,13 @@ def test_generated_matrix_symmetric_zero_diagonal(case):
     assert np.array_equal(dense, dense.T)
     for i in range(n):
         assert not dense[i * d : (i + 1) * d, i * d : (i + 1) * d].any()
-    assert np.array_equal(a.block(2, 1), a.block(1, 2).T)
 
 
 @given(small_models)
 def test_stored_blocks_orthogonal_and_within_exact(case):
     seed, n, big_k, d, p10, q10 = case
     gt, a = generate_instance(_params(seed, n, big_k, d, p10, q10))
-    for (i, j), block in a.blocks.items():
+    for (i, j), block in zip(a.pairs, a.data):
         defect = np.linalg.norm(block.T @ block - np.eye(d))
         assert defect <= 1e-10
         if gt.labels[i] == gt.labels[j]:
@@ -119,9 +117,12 @@ def test_clean_observation_equals_full_probability_draw(seed, n, d):
     gt = generate_ground_truth(params)
     src = RandomSource(seed)
     drawn = generate_observation(gt, 1.0, 0.0, src)
-    clean = clean_observation(gt)
-    assert np.array_equal(drawn.pairs, clean.pairs)
-    assert np.array_equal(drawn.data, clean.data)
+    i_arr, j_arr = np.triu_indices(n, k=1)
+    same = gt.labels[i_arr] == gt.labels[j_arr]
+    i_arr, j_arr = i_arr[same], j_arr[same]
+    assert np.array_equal(drawn.pairs, np.column_stack((i_arr, j_arr)))
+    want = gt.transforms[i_arr] @ gt.transforms[j_arr].transpose(0, 2, 1)
+    assert np.array_equal(drawn.data, want)
 
 
 def test_presence_rates_track_probabilities():
@@ -179,18 +180,6 @@ def test_restrict_matches_dense_submatrix(case):
     assert np.allclose(sub.to_dense(), a.to_dense()[np.ix_(rows, rows)], atol=0)
 
 
-def test_block_reads():
-    pairs = np.array([[0, 1]], dtype=np.int64)
-    data = np.arange(4.0).reshape(1, 2, 2)
-    a = SparseBlockMatrix(3, 2, pairs, data)
-    assert np.array_equal(a.block(0, 1), data[0])
-    assert np.array_equal(a.block(1, 0), data[0].T)
-    assert not a.block(0, 2).any()
-    assert not a.block(0, 0).any()
-    with pytest.raises(ValidationError):
-        a.block(0, 3)
-
-
 def test_sparse_matrix_validates_pairs():
     with pytest.raises(ValidationError):
         SparseBlockMatrix(3, 1, np.array([[1, 0]]), np.zeros((1, 1, 1)))
@@ -198,6 +187,16 @@ def test_sparse_matrix_validates_pairs():
         SparseBlockMatrix(3, 1, np.array([[0, 1], [0, 1]]), np.zeros((2, 1, 1)))
     with pytest.raises(ValidationError):
         SparseBlockMatrix(3, 1, np.array([[0, 3]]), np.zeros((1, 1, 1)))
+    with pytest.raises(ValidationError, match="pairs"):
+        SparseBlockMatrix(3, 1, np.array([0, 1, 2]), np.zeros(1))
+    with pytest.raises(ValidationError, match="data"):
+        SparseBlockMatrix(3, 2, np.array([[0, 1]]), np.zeros(5))
+    with pytest.raises(ValidationError, match="data"):
+        SparseBlockMatrix(3, 2, np.array([[0, 1], [1, 2]]), np.zeros((1, 2, 2)))
+    # Flat arrays of the right sizes are accepted.
+    a = SparseBlockMatrix(3, 2, np.array([0, 1, 1, 2]), np.arange(8.0))
+    assert np.array_equal(a.pairs, [[0, 1], [1, 2]])
+    assert np.array_equal(a.data, np.arange(8.0).reshape(2, 2, 2))
 
 
 def test_sparse_matrix_rejects_non_finite_blocks():
@@ -275,6 +274,17 @@ def test_labeling_tolerates_empty_cluster(tmp_path):
     assert np.array_equal(got_transforms, transforms)
     with pytest.raises(ParseError):
         load_ground_truth(path)
+
+
+def test_save_labeling_rejects_malformed_shapes(tmp_path):
+    path = tmp_path / "est.bin"
+    with pytest.raises(ValidationError, match="transforms"):
+        save_labeling(path, 2, np.array([1, 2]), np.eye(2))
+    with pytest.raises(ValidationError, match="transforms"):
+        save_labeling(path, 2, np.array([1, 2]), np.zeros((2, 2, 3)))
+    with pytest.raises(ValidationError, match="labels"):
+        save_labeling(path, 2, np.array(1), np.zeros((1, 2, 2)))
+    assert not path.exists()
 
 
 def test_loader_rejects_corruption(tmp_path):

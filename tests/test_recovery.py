@@ -230,6 +230,9 @@ def test_connectivity_check_connected_and_split():
     assert list(components) == [0, 0, 1, 1]
     with pytest.raises(ValidationError):
         connectivity_check(a, np.array([], dtype=np.int64))
+    for nodes in ([-1, 0], [0, 9], [6]):
+        with pytest.raises(ValidationError, match="range"):
+            connectivity_check(a, np.array(nodes))
 
 
 def _edge_matrix(n, edges):
