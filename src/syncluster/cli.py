@@ -3,6 +3,8 @@
 Subcommands: sweep (run a configured experiment), bench (runtime scaling),
 snr (separation-ratio study across block sizes), generate (write a random
 instance to disk), solve (run the pipeline on a serialized instance).
+sweep, bench and snr share one handler; bench and snr only pin the mode
+and supply a default spec when --config is omitted.
 
 Exit codes: 0 on success, 1 on a validation or parse error, 2 on an I/O
 error. Everything chatty goes to stdout as key=value lines so runs are easy
@@ -42,12 +44,19 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _add_common(sub, *, config_required=False, out_required=True):
+# Subcommands that run one mode: the mode a --config must have, and the
+# spec fields used when --config is omitted.
+_STUDIES = {
+    "bench": ("runtime", {"K": 2, "d": 2, "n_values": (200, 400, 800, 1600)}),
+    "snr": ("snr", {"n": 400, "K": 2, "d_values": (2, 10, 20), "p": 0.5, "q": 0.5}),
+}
+
+
+def _add_common(sub, *, config_required=False):
     sub.add_argument("--config", required=config_required, metavar="PATH",
                      help="key=value configuration file")
     sub.add_argument("--seed", type=int, default=None, help="master seed override")
-    if out_required:
-        sub.add_argument("--out", required=True, metavar="PATH", help="output path")
+    sub.add_argument("--out", required=True, metavar="PATH", help="output path")
 
 
 def build_parser():
@@ -65,13 +74,13 @@ def build_parser():
 
     bench = commands.add_parser("bench", help="runtime scaling benchmark")
     _add_common(bench)
-    bench.set_defaults(handler=_cmd_bench)
+    bench.set_defaults(handler=_cmd_sweep)
 
     snr = commands.add_parser("snr", help="separation-ratio study across block sizes")
     _add_common(snr)
     snr.add_argument("--trials", type=int, default=None, help="trials per cell override")
     snr.add_argument("--workers", type=int, default=None, help="parallel worker override")
-    snr.set_defaults(handler=_cmd_snr)
+    snr.set_defaults(handler=_cmd_sweep)
 
     generate = commands.add_parser("generate", help="write a random instance to disk")
     _add_common(generate, config_required=True)
@@ -107,57 +116,29 @@ def _print_cell_means(summaries):
 
 
 def _cmd_sweep(args):
-    overrides = {"seed": args.seed, "trials": args.trials,
-                 "refine": args.refine, "workers": args.workers}
-    spec = load_config(args.config, overrides)
-    if spec.mode == "runtime":
-        return _run_bench(spec, args.out)
-    _, summaries = run_sweep(spec, args.out)
-    _print_cell_means(summaries)
-    print(f"wrote={args.out}")
-    return 0
-
-
-def _run_bench(spec, out):
-    rows, slopes = run_runtime_bench(spec, out)
-    by_n = {}
-    for n, phase, ms in rows:
-        by_n.setdefault(n, {})[phase] = ms
-    for n, phases in by_n.items():
-        print(f"n={n} eigen_ms={phases['eigen']:.3f} excl_eigen_ms={phases['excl_eigen']:.3f} "
-              f"total_ms={phases['total']:.3f}")
-    print(f"slope_excl_eigen={slopes['excl_eigen']:.4f}")
-    print(f"slope_total={slopes['total']:.4f}")
-    print(f"wrote={out}")
-    return 0
-
-
-def _cmd_bench(args):
-    if args.config is not None:
-        spec = load_config(args.config, {"seed": args.seed})
-        if spec.mode != "runtime":
-            raise ValidationError("bench needs a config with mode=runtime")
-    else:
-        spec = SweepSpec(mode="runtime", K=2, d=2, n_values=(200, 400, 800, 1600),
-                         seed=args.seed if args.seed is not None else 0)
-        spec.validate()
-    return _run_bench(spec, args.out)
-
-
-def _cmd_snr(args):
-    overrides = {"seed": args.seed, "trials": args.trials, "workers": args.workers}
+    overrides = {name: getattr(args, name, None) for name in ("seed", "trials", "refine", "workers")}
+    study = _STUDIES.get(args.command)
     if args.config is not None:
         spec = load_config(args.config, overrides)
-        if spec.mode != "snr":
-            raise ValidationError("snr needs a config with mode=snr")
     else:
-        spec = SweepSpec(mode="snr", n=400, K=2, d_values=(2, 10, 20), p=0.5, q=0.5)
-        for name, value in overrides.items():
-            if value is not None:
-                setattr(spec, name, value)
+        mode, defaults = study  # only sweep requires --config
+        spec = SweepSpec(mode=mode, **defaults, **{k: v for k, v in overrides.items() if v is not None})
         spec.validate()
-    _, summaries = run_sweep(spec, args.out)
-    _print_cell_means(summaries)
+    if study is not None and spec.mode != study[0]:
+        raise ValidationError(f"{args.command} needs a config with mode={study[0]}")
+    if spec.mode == "runtime":
+        rows, slopes = run_runtime_bench(spec, args.out)
+        by_n = {}
+        for n, phase, ms in rows:
+            by_n.setdefault(n, {})[phase] = ms
+        for n, phases in by_n.items():
+            print(f"n={n} eigen_ms={phases['eigen']:.3f} excl_eigen_ms={phases['excl_eigen']:.3f} "
+                  f"total_ms={phases['total']:.3f}")
+        print(f"slope_excl_eigen={slopes['excl_eigen']:.4f}")
+        print(f"slope_total={slopes['total']:.4f}")
+    else:
+        _, summaries = run_sweep(spec, args.out)
+        _print_cell_means(summaries)
     print(f"wrote={args.out}")
     return 0
 

@@ -54,6 +54,8 @@ class SolverConfig:
             raise ValidationError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be at least 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -77,27 +79,17 @@ class EigenBasis:
     iterations: int = 0
 
 
-def _orthonormal_columns(z):
-    q, _ = np.linalg.qr(z)
-    return q
+def _expand_basis(v, candidate, rng):
+    """New orthonormal columns that extend the basis `v`, built from `candidate`.
 
-
-def _expand_basis(v, candidate, width, rng):
-    """Append up to `width` new orthonormal columns built from `candidate`.
-
-    Candidate directions are projected against the current basis twice
+    Only as many candidate columns are used as the space has free
+    dimensions left. They are projected against the current basis twice
     (full reorthogonalization) and QR-factorized; directions lost to linear
-    dependence are replaced by fresh random ones. Returns the new columns,
-    possibly fewer than `width` when the space is exhausted.
+    dependence are replaced by fresh random ones. Fewer columns come back
+    only under persistent breakdown.
     """
     nd = v.shape[0]
-    room = nd - v.shape[1]
-    width = min(width, room)
-    if width <= 0:
-        return np.empty((nd, 0))
-    z = candidate[:, :width] if candidate.shape[1] >= width else np.hstack(
-        [candidate, rng.standard_normal((nd, width - candidate.shape[1]))]
-    )
+    z = candidate[:, : nd - v.shape[1]]
     for _ in range(3):
         z = z - v @ (v.T @ z)
         z = z - v @ (v.T @ z)
@@ -139,9 +131,9 @@ def top_eigenpairs(a, k, cfg=None):
     # past the cut (and with it the degenerate-gap certificate) visible even
     # when the cut lands inside a multiple eigenvalue.
     b = min(k + 1, nd)
-    # Keep enough width after a restart to look one value past the cut, so
-    # the degenerate-gap check sees lambda_{k+1}.
-    cap = min(nd, max(4 * b, k + 2 * b, k + 2))
+    # Restart before a fourth block; a restart keeps k + b columns, which
+    # hold the pair past the cut that the degenerate-gap check reads.
+    cap = min(nd, 4 * b)
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(_STREAM_SOLVER,)))
     )
@@ -151,7 +143,7 @@ def top_eigenpairs(a, k, cfg=None):
     # 2^k multiple of A, and the values are scaled back on the way out.
     peak = max(a.data.max(initial=0.0), -a.data.min(initial=0.0))
     exponent = int(np.frexp(peak)[1])
-    v = _orthonormal_columns(rng.standard_normal((nd, b)))
+    v, _ = np.linalg.qr(rng.standard_normal((nd, b)))
     av = np.ldexp(a.matvec(v), -exponent)
     best = None
     for iteration in range(1, cfg.max_iterations + 1):
@@ -162,56 +154,55 @@ def top_eigenpairs(a, k, cfg=None):
         y = y[:, ::-1]
         s = v.shape[1]
         norm_est = max(abs(theta[0]), abs(theta[-1]))
-        if s >= b:
-            # The pair past the cut joins the convergence check only as far
-            # as the degenerate-gap flag needs it: resolved to a fraction of
-            # the measured gap when the gap is wide, to full tolerance when
-            # the gap collapses (where it converges quickly anyway, the
-            # block being wide enough to cover the cluster at the cut).
-            x = v @ y[:, :b]
-            ax = av @ y[:, :b]
-            rmat = ax - x * theta[:b]
-            scale = max(norm_est, 1e-300)
-            rel = np.linalg.norm(rmat[:, :k]) / scale
-            overall = np.linalg.norm(rmat) / scale
-            if b > k:
-                gap = abs(theta[k - 1] - theta[k])
-                degenerate = gap <= _DEGENERATE_GAP_RTOL * abs(theta[0])
-                tail = float(np.linalg.norm(rmat[:, k:])) / scale
-                certified = tail <= max(cfg.tolerance, _GAP_GATE_FRACTION * gap / scale)
-            else:
-                degenerate = False
-                certified = True
-            basis = EigenBasis(
-                vectors=x[:, :k].copy(),
-                values=np.ldexp(theta[:k], exponent),
-                residual=float(rel),
-                degenerate_gap=bool(degenerate),
-                iterations=iteration,
+        # The pair past the cut joins the convergence check only as far
+        # as the degenerate-gap flag needs it: resolved to a fraction of
+        # the measured gap when the gap is wide, to full tolerance when
+        # the gap collapses (where it converges quickly anyway, the
+        # block being wide enough to cover the cluster at the cut).
+        x = v @ y[:, :b]
+        ax = av @ y[:, :b]
+        rmat = ax - x * theta[:b]
+        scale = max(norm_est, 1e-300)
+        rel = np.linalg.norm(rmat[:, :k]) / scale
+        overall = np.linalg.norm(rmat) / scale
+        if b > k:
+            gap = abs(theta[k - 1] - theta[k])
+            degenerate = gap <= _DEGENERATE_GAP_RTOL * abs(theta[0])
+            tail = float(np.linalg.norm(rmat[:, k:])) / scale
+            certified = tail <= max(cfg.tolerance, _GAP_GATE_FRACTION * gap / scale)
+        else:
+            degenerate = False
+            certified = True
+        basis = EigenBasis(
+            vectors=x[:, :k].copy(),
+            values=np.ldexp(theta[:k], exponent),
+            residual=float(rel),
+            degenerate_gap=bool(degenerate),
+            iterations=iteration,
+        )
+        if rel <= cfg.tolerance and certified:
+            return basis
+        if best is None or basis.residual < best.residual:
+            best = basis
+        if s == nd:
+            # The subspace is the whole space, so the Rayleigh-Ritz
+            # values are exact; if that still misses the tolerance the
+            # request is unsatisfiable in this precision.
+            raise NoConvergenceError(
+                f"residual {overall:.3e} above tolerance {cfg.tolerance:.3e} "
+                f"with a full-width basis",
+                best=best,
             )
-            if rel <= cfg.tolerance and certified:
-                return basis
-            if best is None or basis.residual < best.residual:
-                best = basis
-            if s == nd:
-                # The subspace is the whole space, so the Rayleigh-Ritz
-                # values are exact; if that still misses the tolerance the
-                # request is unsatisfiable in this precision.
-                raise NoConvergenceError(
-                    f"residual {overall:.3e} above tolerance {cfg.tolerance:.3e} "
-                    f"with a full-width basis",
-                    best=best,
-                )
-        if s + b > cap and s < nd:
+        if s + b > cap:
             keep = min(s, k + b)
             v = v @ y[:, :keep]
             av = av @ y[:, :keep]
-        new = _expand_basis(v, av[:, -b:], b, rng)
+        new = _expand_basis(v, av[:, -b:], rng)
         if new.shape[1]:
             v = np.hstack([v, new])
             av = np.hstack([av, np.ldexp(a.matvec(new), -exponent)])
     raise NoConvergenceError(
         f"no convergence after {cfg.max_iterations} iterations "
-        f"(best residual {best.residual if best else float('inf'):.3e})",
+        f"(best residual {best.residual:.3e})",
         best=best,
     )

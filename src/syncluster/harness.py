@@ -1,11 +1,15 @@
 """Experiment driver: parameter sweeps, runtime benches, CSV output.
 
-A sweep resolves its mode into a list of cells (parameter points), runs
-`trials` independent trials per cell, and writes one CSV row per trial plus
-one mean row per cell. Every trial derives a private integer sub-seed from
-(master seed, cell index, trial index), so results are bit-reproducible and
-independent of worker count and scheduling. Per-trial failures are recorded
-as flagged rows and never abort the sweep.
+Every experiment is one path. `resolve_cells` turns a SweepSpec into its
+ordered list of cells (parameter points) and is the only place that knows
+what each mode needs; every trial of a cell gets a seeded instance and
+solver settings from one helper and runs through `run_pipeline`. A sweep
+runs `trials` trials per cell and writes one CSV row per trial plus one
+mean row per cell; the runtime bench runs the same trials and writes
+per-phase medians and fitted log-log slopes. Every trial derives a private
+integer sub-seed from (master seed, cell index, trial index), so results
+are bit-reproducible and independent of worker count and scheduling.
+Per-trial failures are recorded as flagged rows and never abort the sweep.
 
 Science columns are deterministic given (config, seed); wall-clock timing
 columns are not, so the zero_timings switch exists to blank them when
@@ -24,7 +28,7 @@ import numpy as np
 from . import __version__
 from .cpqr import blockwise_cpqr
 from .eigensolver import SolverConfig, top_eigenpairs
-from .errors import ParseError, SynclusterError, ValidationError
+from .errors import DomainError, ParseError, SynclusterError, ValidationError
 from .metrics import alpha_for_eta, beta_for_eta, eta, exact_recovery, snr_ratio, sync_error
 from .model import ModelParams, RandomSource, generate_instance
 from .recovery import assign_and_extract, refine_clusters, refine_transforms
@@ -32,11 +36,15 @@ from .recovery import assign_and_extract, refine_clusters, refine_transforms
 MODES = ("grid", "eta-sweep", "runtime", "snr", "noise-grid")
 REFINE_CHOICES = ("none", "clusters", "transforms", "both")
 
+# Phase timings as run_pipeline reports them. The bench names each phase by
+# the middle of its column name (t_eigen_ms -> eigen) and adds two sums.
+_TIMING_COLUMNS = ("t_eigen_ms", "t_cpqr_ms", "t_recover_ms", "t_refine_ms")
+_BENCH_PHASES = tuple(col[2:-3] for col in _TIMING_COLUMNS) + ("excl_eigen", "total")
+
 CSV_COLUMNS = (
     "mode", "n", "K", "d", "alpha", "beta", "p", "q", "sigma", "eta",
     "trial", "subseed", "exact", "sync_error_log", "snr_min",
-    "t_eigen_ms", "t_cpqr_ms", "t_recover_ms", "t_refine_ms", "flags",
-)
+) + _TIMING_COLUMNS + ("flags",)
 CSV_SCHEMA_VERSION = 1
 
 BENCH_COLUMNS = ("n", "phase", "ms")
@@ -84,8 +92,7 @@ class SweepSpec:
     zero_timings: bool = False
 
     def validate(self):
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {'/'.join(MODES)}")
+        """Check the fields every mode shares, then resolve the cells."""
         if self.refine not in REFINE_CHOICES:
             raise ValidationError(f"refine must be one of {'/'.join(REFINE_CHOICES)}")
         if self.trials < 1:
@@ -96,29 +103,15 @@ class SweepSpec:
             raise ValidationError("fraction must lie in [0, 1]")
         if self.sigma < 0:
             raise ValidationError("sigma must be non-negative")
-        if self.mode == "runtime":
-            if not self.n_values:
-                raise ValidationError("runtime mode needs n_list")
-            if any(n < 2 for n in self.n_values):
-                raise ValidationError("n_list entries must be at least 2")
-        elif self.mode == "snr":
-            if not self.d_values:
-                raise ValidationError("snr mode needs d_list")
-            if self.n is None:
-                raise ValidationError("snr mode needs n")
-        else:
-            if self.n is None:
-                raise ValidationError(f"{self.mode} mode needs n")
         if self.n is not None and self.n < 2:
             raise ValidationError("n must be at least 2")
         if self.K < 1:
             raise ValidationError("K must be at least 1")
         if self.d < 1:
             raise ValidationError("d must be at least 1")
-        # Cell resolution re-checks derived probabilities; calling it here
-        # surfaces range errors at validation time.
-        if self.mode not in ("runtime",):
-            resolve_cells(self)
+        # Cell resolution holds the per-mode checks and re-checks derived
+        # probabilities; calling it here surfaces them at validation time.
+        resolve_cells(self)
 
 
 def _derived_prob(coef, n, what):
@@ -140,7 +133,7 @@ def _cell(spec, *, n=None, d=None, alpha=None, beta=None, p=None, q=None, sigma=
         q = _derived_prob(beta, n, "beta")
     try:
         cell_eta = eta(n, p, q, d)
-    except Exception:
+    except DomainError:  # p = 0
         cell_eta = float("inf")
     return {
         "mode": spec.mode, "n": n, "K": spec.K, "d": d,
@@ -150,58 +143,70 @@ def _cell(spec, *, n=None, d=None, alpha=None, beta=None, p=None, q=None, sigma=
 
 
 def resolve_cells(spec):
-    """Expand a SweepSpec into its ordered list of parameter cells."""
-    cells = []
-    if spec.mode == "grid":
+    """Expand a SweepSpec into its ordered list of parameter cells.
+
+    This is the one place that knows what each mode needs: grid and
+    noise-grid cross alpha x beta x sigma_list (or the fixed sigma),
+    eta-sweep solves the free density axis per target eta, snr takes one
+    cell per d_list entry at absolute p and q, and runtime one cell per
+    n_list entry at p = q = density * log(n) / n, with density alpha[0]
+    or BENCH_DENSITY.
+    """
+    if spec.mode in ("grid", "noise-grid"):
+        if spec.n is None:
+            raise ValidationError(f"{spec.mode} mode needs n")
         if not spec.alpha or not spec.beta:
-            raise ValidationError("grid mode needs alpha and beta")
-        for a in spec.alpha:
-            for b in spec.beta:
-                cells.append(_cell(spec, alpha=a, beta=b))
-    elif spec.mode == "noise-grid":
-        if not spec.alpha or not spec.beta:
-            raise ValidationError("noise-grid mode needs alpha and beta")
+            raise ValidationError(f"{spec.mode} mode needs alpha and beta")
         sigmas = spec.sigma_values if spec.sigma_values else (spec.sigma,)
-        for a in spec.alpha:
-            for b in spec.beta:
-                for s in sigmas:
-                    if s < 0:
-                        raise ValidationError("sigma_list entries must be non-negative")
-                    cells.append(_cell(spec, alpha=a, beta=b, sigma=s))
-    elif spec.mode == "eta-sweep":
+        if any(s < 0 for s in sigmas):
+            raise ValidationError("sigma_list entries must be non-negative")
+        return [
+            _cell(spec, alpha=a, beta=b, sigma=s)
+            for a in spec.alpha for b in spec.beta for s in sigmas
+        ]
+    if spec.mode == "eta-sweep":
+        if spec.n is None:
+            raise ValidationError(f"{spec.mode} mode needs n")
         if not spec.eta_values:
             raise ValidationError("eta-sweep mode needs eta")
-        if spec.fixed_axis not in ("alpha", "beta"):
-            raise ValidationError("fixed_axis must be alpha or beta")
         if spec.fixed_axis == "alpha":
             if len(spec.alpha) != 1:
                 raise ValidationError("eta-sweep with fixed_axis=alpha needs exactly one alpha")
             a = spec.alpha[0]
-            for target in spec.eta_values:
-                b = beta_for_eta(target, a, spec.n, spec.d)
-                cells.append(_cell(spec, alpha=a, beta=b))
-        else:
+            return [
+                _cell(spec, alpha=a, beta=beta_for_eta(target, a, spec.n, spec.d))
+                for target in spec.eta_values
+            ]
+        if spec.fixed_axis == "beta":
             if len(spec.beta) != 1:
                 raise ValidationError("eta-sweep with fixed_axis=beta needs exactly one beta")
             b = spec.beta[0]
-            for target in spec.eta_values:
-                a = alpha_for_eta(target, b, spec.n, spec.d)
-                cells.append(_cell(spec, alpha=a, beta=b))
-    elif spec.mode == "snr":
+            return [
+                _cell(spec, alpha=alpha_for_eta(target, b, spec.n, spec.d), beta=b)
+                for target in spec.eta_values
+            ]
+        raise ValidationError("fixed_axis must be alpha or beta")
+    if spec.mode == "snr":
+        if not spec.d_values:
+            raise ValidationError("snr mode needs d_list")
+        if spec.n is None:
+            raise ValidationError(f"{spec.mode} mode needs n")
         p = 0.5 if spec.p is None else spec.p
         q = 0.5 if spec.q is None else spec.q
         for prob, name in ((p, "p"), (q, "q")):
             if not 0.0 <= prob <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1]")
-        for d in spec.d_values:
-            if d < 1:
-                raise ValidationError("d_list entries must be at least 1")
-            cells.append(_cell(spec, d=d, p=p, q=q))
-    elif spec.mode == "runtime":
-        raise ValidationError("runtime mode runs through run_runtime_bench")
-    else:
-        raise ValidationError(f"mode must be one of {'/'.join(MODES)}")
-    return cells
+        if any(d < 1 for d in spec.d_values):
+            raise ValidationError("d_list entries must be at least 1")
+        return [_cell(spec, d=d, p=p, q=q) for d in spec.d_values]
+    if spec.mode == "runtime":
+        if not spec.n_values:
+            raise ValidationError("runtime mode needs n_list")
+        if any(n < 2 for n in spec.n_values):
+            raise ValidationError("n_list entries must be at least 2")
+        density = spec.alpha[0] if spec.alpha else BENCH_DENSITY
+        return [_cell(spec, n=n, alpha=density, beta=density) for n in spec.n_values]
+    raise ValidationError(f"mode must be one of {'/'.join(MODES)}")
 
 
 def run_pipeline(a, big_k, d, cfg, refine="none", fraction=0.10):
@@ -248,27 +253,32 @@ def run_pipeline(a, big_k, d, cfg, refine="none", fraction=0.10):
     return factors, result, timings, flags
 
 
-def _generate_instance(cell, sizes, subseed):
+def _trial_inputs(cell, spec, subseed):
+    """The seeded instance and solver settings of one trial of a cell.
+
+    Returns:
+        (gt, a, cfg): ground truth, observed matrix and SolverConfig.
+    """
     params = ModelParams(
         n=cell["n"], K=cell["K"], d=cell["d"], p=cell["p"], q=cell["q"],
-        sizes=sizes, sigma=cell["sigma"], seed=subseed,
+        sizes=spec.sizes, sigma=cell["sigma"], seed=subseed,
     )
-    return generate_instance(params)
-
-
-def _run_trial(task):
-    """One (cell, trial): generate, run, evaluate. Returns a value dict."""
-    cell, trial, subseed, spec = task
-    values = dict(cell)
-    values.update(trial=trial, subseed=subseed, exact=None, sync_error_log=None,
-                  snr_min=None, t_eigen_ms=0.0, t_cpqr_ms=0.0, t_recover_ms=0.0,
-                  t_refine_ms=0.0, flags=[])
-    gt, a = _generate_instance(cell, spec.sizes, subseed)
+    gt, a = generate_instance(params)
     cfg = SolverConfig(
         tolerance=spec.solver_tolerance,
         max_iterations=spec.solver_max_iterations,
         seed=subseed,
     )
+    return gt, a, cfg
+
+
+def _run_trial(task):
+    """One (cell, trial): generate, run, evaluate. Returns a value dict."""
+    cell, trial, subseed, spec = task
+    values = dict(cell, trial=trial, subseed=subseed, exact=None, sync_error_log=None,
+                  snr_min=None, flags=[])
+    values.update(dict.fromkeys(_TIMING_COLUMNS, 0.0))
+    gt, a, cfg = _trial_inputs(cell, spec, subseed)
     # A library failure in solving or scoring becomes a row flagged with the
     # error's name (NoConvergenceError -> NoConvergence), never an abort;
     # generation stays outside so a bad config still fails fast.
@@ -302,9 +312,9 @@ def _value_row(values, zero_timings):
     for col in CSV_COLUMNS:
         if col == "flags":
             row.append(";".join(values["flags"]))
-        elif col.startswith("t_") and zero_timings:
+        elif col in _TIMING_COLUMNS and zero_timings:
             row.append("0.000")
-        elif col.startswith("t_"):
+        elif col in _TIMING_COLUMNS:
             row.append(_fmt(values[col], timing=True))
         else:
             row.append(_fmt(values[col]))
@@ -317,18 +327,9 @@ def _mean(values):
 
 
 def _summary_values(cell, trials):
-    out = dict(cell)
-    out.update(
-        trial="mean", subseed=None,
-        exact=_mean([v["exact"] for v in trials]),
-        sync_error_log=_mean([v["sync_error_log"] for v in trials]),
-        snr_min=_mean([v["snr_min"] for v in trials]),
-        t_eigen_ms=_mean([v["t_eigen_ms"] for v in trials]) or 0.0,
-        t_cpqr_ms=_mean([v["t_cpqr_ms"] for v in trials]) or 0.0,
-        t_recover_ms=_mean([v["t_recover_ms"] for v in trials]) or 0.0,
-        t_refine_ms=_mean([v["t_refine_ms"] for v in trials]) or 0.0,
-        flags=[],
-    )
+    out = dict(cell, trial="mean", subseed=None, flags=[])
+    for col in ("exact", "sync_error_log", "snr_min") + _TIMING_COLUMNS:
+        out[col] = _mean([v[col] for v in trials])
     return out
 
 
@@ -358,18 +359,17 @@ def run_sweep(spec, out_path=None):
         for ci, cell in enumerate(cells)
     ]
     if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            for values in results:
-                writer.writerow(_value_row(values, spec.zero_timings))
-            for values in summaries:
-                writer.writerow(_value_row(values, spec.zero_timings))
-        _write_manifest(f"{out_path}.manifest.json", spec, extra={"cells": len(cells)})
+        rows = [_value_row(values, spec.zero_timings) for values in results + summaries]
+        _write_csv(out_path, spec, CSV_COLUMNS, rows, {"cells": len(cells)})
     return results, summaries
 
 
-def _write_manifest(path, spec, extra=None):
+def _write_csv(out_path, spec, columns, rows, extra):
+    """Write a header and rows to out_path, plus a JSON manifest sidecar."""
+    with open(out_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
     manifest = {
         "package_version": __version__,
         "csv_schema_version": CSV_SCHEMA_VERSION,
@@ -379,10 +379,9 @@ def _write_manifest(path, spec, extra=None):
                   f"median of {_BENCH_REPS} repetitions after one discarded warm-up",
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "log_convention": "natural log; exact matches floored at -746",
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
-    with open(path, "w") as fh:
+    with open(f"{out_path}.manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -411,49 +410,27 @@ def run_runtime_bench(spec, out_path=None):
     spec.validate()
     if spec.mode != "runtime":
         raise ValidationError("run_runtime_bench needs mode=runtime")
-    density = spec.alpha[0] if spec.alpha else BENCH_DENSITY
     master = RandomSource(spec.seed)
-    rows = []
-    per_phase = {"eigen": [], "cpqr": [], "recover": [], "refine": [], "excl_eigen": [], "total": []}
-    for ni, n in enumerate(spec.n_values):
-        cell = _cell(spec, n=n, alpha=density, beta=density)
-        samples = {k: [] for k in per_phase}
+    rows, medians = [], []
+    for ci, cell in enumerate(resolve_cells(spec)):
+        samples = []
         for rep in range(_BENCH_REPS + 1):
-            subseed = master.subseed(ni, rep)
-            gt, a = _generate_instance(cell, spec.sizes, subseed)
-            cfg = SolverConfig(
-                tolerance=spec.solver_tolerance,
-                max_iterations=spec.solver_max_iterations,
-                seed=subseed,
-            )
+            _, a, cfg = _trial_inputs(cell, spec, master.subseed(ci, rep))
             _, _, timings, _ = run_pipeline(
-                a, spec.K, spec.d, cfg, spec.refine, spec.fraction
+                a, cell["K"], cell["d"], cfg, spec.refine, spec.fraction
             )
-            if rep == 0:
-                continue
-            samples["eigen"].append(timings["t_eigen_ms"])
-            samples["cpqr"].append(timings["t_cpqr_ms"])
-            samples["recover"].append(timings["t_recover_ms"])
-            samples["refine"].append(timings["t_refine_ms"])
-            samples["excl_eigen"].append(
-                timings["t_cpqr_ms"] + timings["t_recover_ms"] + timings["t_refine_ms"]
-            )
-            samples["total"].append(sum(timings.values()))
-        for phase, vals in samples.items():
-            med = float(np.median(vals))
-            per_phase[phase].append(med)
-            rows.append((n, phase, med))
+            phases = [timings[col] for col in _TIMING_COLUMNS]
+            samples.append(phases + [sum(phases[1:]), sum(phases)])
+        # Repetition 0 is the discarded warm-up.
+        medians.append(dict(zip(_BENCH_PHASES, np.median(samples[1:], axis=0).tolist())))
+        rows.extend((cell["n"], phase, ms) for phase, ms in medians[-1].items())
     slopes = {
-        "excl_eigen": fit_loglog_slope(spec.n_values, per_phase["excl_eigen"]),
-        "total": fit_loglog_slope(spec.n_values, per_phase["total"]),
+        key: fit_loglog_slope(spec.n_values, [m[key] for m in medians])
+        for key in ("excl_eigen", "total")
     }
     if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(BENCH_COLUMNS)
-            for n, phase, ms in rows:
-                writer.writerow([n, phase, f"{ms:.3f}"])
-        _write_manifest(f"{out_path}.manifest.json", spec, extra={"slopes": slopes})
+        csv_rows = [(n, phase, f"{ms:.3f}") for n, phase, ms in rows]
+        _write_csv(out_path, spec, BENCH_COLUMNS, csv_rows, {"slopes": slopes})
     return rows, slopes
 
 

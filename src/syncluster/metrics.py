@@ -20,18 +20,13 @@ LOG_ZERO_FLOOR = -746.0
 _RATIO_ZERO_CUTOFF = 1e-300
 
 
-def _partition_key(labels):
-    clusters = {}
-    for node, lab in enumerate(labels):
-        clusters.setdefault(int(lab), []).append(node)
-    return frozenset(frozenset(members) for members in clusters.values())
-
-
 def exact_recovery(est_labels, true_labels, big_k):
     """Whether two labelings induce the same partition of the nodes.
 
     Cluster indices carry no meaning, so the comparison is between the
-    partitions as sets of node sets.
+    partitions as sets of node sets. They are equal iff the labels pair up
+    one to one: the distinct (est, true) pairs are as many as the distinct
+    est labels and as the distinct true labels.
 
     Args:
         est_labels: length-n array of values in 1..big_k.
@@ -48,7 +43,8 @@ def exact_recovery(est_labels, true_labels, big_k):
     for arr in (est, true):
         if arr.size and (arr.min() < 1 or arr.max() > big_k):
             raise ValidationError("labels must lie in 1..K")
-    return _partition_key(est) == _partition_key(true)
+    pairs = np.unique(est * (big_k + 1) + true).size
+    return pairs == np.unique(est).size == np.unique(true).size
 
 
 def sync_error(est_transforms, gt):

@@ -111,6 +111,18 @@ def refine_clusters_labels_oracle(r, d, labels, confidence, cluster_count, fract
     return out
 
 
+def same_partition_oracle(est_labels, true_labels):
+    """Whether two labelings induce the same partition, as sets of node sets."""
+
+    def partition(labels):
+        clusters = {}
+        for node, lab in enumerate(labels):
+            clusters.setdefault(int(lab), []).append(node)
+        return frozenset(frozenset(members) for members in clusters.values())
+
+    return partition(est_labels) == partition(true_labels)
+
+
 def dense_top_eigenpairs(dense, k):
     """Top-k algebraic eigenpairs of a dense symmetric matrix via LAPACK.
 

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from syncluster import cli
 from syncluster.cli import main
 from syncluster.harness import CSV_COLUMNS
 from syncluster.model import load_labeling
@@ -118,6 +119,15 @@ def test_solve_without_truth_still_reports_shape(model_conf, tmp_path, capsys):
     assert "exact=" not in out
 
 
+def test_solve_negative_seed_exits_one(model_conf, tmp_path, capsys):
+    matrix = tmp_path / "instance.bin"
+    main(["generate", "--config", str(model_conf), "--out", str(matrix)])
+    capsys.readouterr()
+    assert main(["solve", str(matrix), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed must be non-negative" in err
+
+
 def test_solve_missing_file_exits_two(tmp_path):
     assert main(["solve", str(tmp_path / "ghost.bin")]) == 2
 
@@ -177,3 +187,31 @@ def test_sweep_routes_runtime_configs_to_bench(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 0
     assert "slope_excl_eigen=" in capsys.readouterr().out
+
+
+def test_bench_and_snr_build_default_specs_without_config(monkeypatch, tmp_path, capsys):
+    specs = []
+
+    def fake_bench(spec, out):
+        specs.append(spec)
+        rows = [(n, phase, 1.0) for n in spec.n_values for phase in ("eigen", "excl_eigen", "total")]
+        return rows, {"excl_eigen": 1.0, "total": 1.0}
+
+    def fake_sweep(spec, out):
+        specs.append(spec)
+        return [], []
+
+    monkeypatch.setattr(cli, "run_runtime_bench", fake_bench)
+    monkeypatch.setattr(cli, "run_sweep", fake_sweep)
+    out = str(tmp_path / "o.csv")
+    assert main(["bench", "--out", out, "--seed", "5"]) == 0
+    assert "slope_excl_eigen=1.0000" in capsys.readouterr().out
+    assert main(["snr", "--out", out, "--seed", "6", "--trials", "3"]) == 0
+    assert f"wrote={out}" in capsys.readouterr().out
+    bench, snr = specs
+    assert (bench.mode, bench.K, bench.d, bench.n_values, bench.seed) == (
+        "runtime", 2, 2, (200, 400, 800, 1600), 5
+    )
+    assert (snr.mode, snr.n, snr.K, snr.d_values, snr.p, snr.q, snr.seed, snr.trials) == (
+        "snr", 400, 2, (2, 10, 20), 0.5, 0.5, 6, 3
+    )

@@ -177,6 +177,8 @@ def test_solver_config_validation():
         SolverConfig(tolerance=0.0)
     with pytest.raises(ValidationError):
         SolverConfig(max_iterations=0)
+    with pytest.raises(ValidationError, match="seed must be non-negative"):
+        SolverConfig(seed=-1)
 
 
 def test_never_materializes_dense_matrix():

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +69,10 @@ def test_noise_grid_crosses_sigmas():
     assert [c["sigma"] for c in cells] == [0.0, 0.25, 0.5]
     single = _small_spec(mode="noise-grid", sigma=0.3)
     assert [c["sigma"] for c in resolve_cells(single)] == [0.3]
+    grid = _small_spec(alpha=(6.0, 8.0), sigma_values=(0.0, 0.5))
+    cells = resolve_cells(grid)
+    assert [(c["alpha"], c["sigma"]) for c in cells] == [(6.0, 0.0), (6.0, 0.5), (8.0, 0.0), (8.0, 0.5)]
+    assert {c["mode"] for c in cells} == {"grid"}
 
 
 def test_eta_sweep_solves_the_free_axis():
@@ -100,10 +105,16 @@ def test_snr_cells_default_probabilities():
     assert all(c["p"] == 0.5 and c["q"] == 0.5 for c in cells)
 
 
-def test_runtime_mode_rejected_by_resolve():
-    spec = SweepSpec(mode="runtime", n_values=(64, 128))
-    with pytest.raises(ValidationError):
-        resolve_cells(spec)
+def test_runtime_cells_sit_at_the_bench_density():
+    spec = SweepSpec(mode="runtime", K=3, d=2, n_values=(64, 128))
+    cells = resolve_cells(spec)
+    assert [c["n"] for c in cells] == [64, 128]
+    for c in cells:
+        assert (c["K"], c["d"], c["alpha"], c["beta"]) == (3, 2, harness.BENCH_DENSITY, harness.BENCH_DENSITY)
+        assert c["p"] == c["q"] == pytest.approx(10.0 * math.log(c["n"]) / c["n"])
+    dense = SweepSpec(mode="runtime", n_values=(64, 128), alpha=(4.0,))
+    for c in resolve_cells(dense):
+        assert c["p"] == c["q"] == pytest.approx(4.0 * math.log(c["n"]) / c["n"])
 
 
 def test_derived_probability_out_of_range():
@@ -373,6 +384,20 @@ def test_model_config(tmp_path):
     path.write_text("n = 12\nK = 3\nd = 2\np = 0.9\n")
     with pytest.raises(ValidationError, match="missing required key 'q'"):
         load_model_config(path)
+
+
+def test_bundled_configs_load_and_resolve():
+    configs = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+    params = load_model_config(configs / "instance.conf")
+    assert (params.n, params.K, params.d, params.seed) == (400, 2, 3, 7)
+    expected = {
+        "phase_grid": 25, "eta_threshold": 10, "refine_boundary": 9,
+        "noise_grid": 6, "snr_vs_d": 4, "runtime_bench": 4,
+    }
+    found = {path.stem for path in configs.glob("*.conf")} - {"instance"}
+    assert found == set(expected)
+    for name, count in expected.items():
+        assert len(resolve_cells(load_config(configs / f"{name}.conf"))) == count, name
 
 
 def test_import_and_solve_never_load_scipy():

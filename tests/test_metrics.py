@@ -79,6 +79,22 @@ def test_property_partition_relabel_invariance(seed, big_k):
     assert not exact_recovery(moved, labels, big_k)
 
 
+@given(seeds, st.integers(min_value=1, max_value=5))
+def test_property_partition_matches_oracle(seed, big_k):
+    rng = _gen(seed)
+    n = int(rng.integers(0, 25))
+    true = rng.integers(1, big_k + 1, size=n)
+    # Half the cases are relabelings of the truth, some with a node moved,
+    # so equal partitions are drawn as often as unequal ones.
+    if rng.random() < 0.5:
+        est = (rng.permutation(big_k) + 1)[true - 1]
+        if n and rng.random() < 0.5:
+            est[rng.integers(n)] = rng.integers(1, big_k + 1)
+    else:
+        est = rng.integers(1, big_k + 1, size=n)
+    assert exact_recovery(est, true, big_k) == oracles.same_partition_oracle(est, true)
+
+
 def test_exact_recovery_validation():
     with pytest.raises(ValidationError):
         exact_recovery([1, 2], [1, 2, 2], 2)
