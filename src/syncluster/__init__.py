@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
     WrongKError,
 )
-from .linalg import PolarFactors, polar_decompose, sample_haar_orthogonal
+from .linalg import polar_decompose, sample_haar_orthogonal
 from .metrics import (
     alpha_for_eta,
     beta_for_eta,
@@ -62,7 +62,6 @@ __all__ = [
     "NoConvergenceError",
     "NonFiniteError",
     "ParseError",
-    "PolarFactors",
     "RandomSource",
     "RecoveryResult",
     "SolverConfig",

@@ -109,6 +109,7 @@ class SweepSpec:
             raise ValidationError("K must be at least 1")
         if self.d < 1:
             raise ValidationError("d must be at least 1")
+        _solver_config(self, seed=0)
         # Cell resolution holds the per-mode checks and re-checks derived
         # probabilities; calling it here surfaces them at validation time.
         resolve_cells(self)
@@ -253,6 +254,13 @@ def run_pipeline(a, big_k, d, cfg, refine="none", fraction=0.10):
     return factors, result, timings, flags
 
 
+def _solver_config(spec, seed):
+    """The spec's SolverConfig for one seed; its checks reject bad settings."""
+    return SolverConfig(
+        tolerance=spec.solver_tolerance, max_iterations=spec.solver_max_iterations, seed=seed
+    )
+
+
 def _trial_inputs(cell, spec, subseed):
     """The seeded instance and solver settings of one trial of a cell.
 
@@ -264,12 +272,7 @@ def _trial_inputs(cell, spec, subseed):
         sizes=spec.sizes, sigma=cell["sigma"], seed=subseed,
     )
     gt, a = generate_instance(params)
-    cfg = SolverConfig(
-        tolerance=spec.solver_tolerance,
-        max_iterations=spec.solver_max_iterations,
-        seed=subseed,
-    )
-    return gt, a, cfg
+    return gt, a, _solver_config(spec, subseed)
 
 
 def _run_trial(task):
@@ -373,7 +376,7 @@ def _write_csv(out_path, spec, columns, rows, extra):
     manifest = {
         "package_version": __version__,
         "csv_schema_version": CSV_SCHEMA_VERSION,
-        "csv_columns": list(CSV_COLUMNS),
+        "csv_columns": list(columns),
         "spec": asdict(spec),
         "timing": "monotonic clock, per-phase wall time; bench rows are the "
                   f"median of {_BENCH_REPS} repetitions after one discarded warm-up",
@@ -432,29 +435,6 @@ def run_runtime_bench(spec, out_path=None):
         csv_rows = [(n, phase, f"{ms:.3f}") for n, phase, ms in rows]
         _write_csv(out_path, spec, BENCH_COLUMNS, csv_rows, {"slopes": slopes})
     return rows, slopes
-
-
-def quadratic_control_slope(n_values, seed=0):
-    """Slope of a deliberately quadratic all-pairs kernel, same fitter.
-
-    Calibrates the log-log fit: the kernel computes all pairwise squared
-    distances of n planar points, which is Theta(n^2) work, so the fitted
-    slope should come out near 2.
-    """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    medians = []
-    for n in n_values:
-        x = rng.standard_normal((int(n), 2))
-        samples = []
-        for rep in range(_BENCH_REPS + 1):
-            t0 = time.perf_counter()
-            diff = x[:, None, :] - x[None, :, :]
-            (diff * diff).sum()
-            elapsed = (time.perf_counter() - t0) * 1e3
-            if rep:
-                samples.append(elapsed)
-        medians.append(float(np.median(samples)))
-    return fit_loglog_slope(n_values, medians)
 
 
 # Configuration files: flat key=value lines, # comments, no sections.

@@ -6,46 +6,31 @@ and nothing mutates its inputs. Verification tolerances are module
 constants so tests never restate magic numbers.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonFiniteError, ValidationError
 
-# Relative Frobenius bound for orthogonal * psd reconstructing the input.
+# Relative Frobenius bound for the orthogonal factor times the PSD factor
+# reconstructing the input.
 POLAR_RECONSTRUCTION_RTOL = 1e-8
 # Frobenius bound on Q^T Q - I for anything claimed orthogonal.
 ORTHOGONALITY_ATOL = 1e-10
 
 
-@dataclass(frozen=True)
-class PolarFactors:
-    """Orthogonal factor times symmetric-PSD factor of a square matrix.
-
-    ``orthogonal @ psd`` reconstructs the decomposed matrix; for a stack of
-    matrices both factors are stacks of the same shape. For full-rank
-    input the orthogonal factor is the unique closest orthogonal matrix in
-    Frobenius norm; for singular input it is one valid (non-unique) choice.
-    """
-
-    orthogonal: np.ndarray
-    psd: np.ndarray
-
-
 def polar_decompose(x):
-    """Split a square matrix, or a stack of them, into orthogonal times PSD.
+    """Orthogonal polar factor of a square matrix, or of a stack of them.
 
-    Computed through the SVD: x = U S V^T gives the orthogonal part U V^T
-    and the PSD part V S V^T, slice by slice for a (..., d, d) stack.
-    Singular x is handled the same way; the factor pair is then not unique
-    but still reconstructs x.
+    Computed through the SVD: x = U S V^T gives the orthogonal factor
+    U V^T, slice by slice for a (..., d, d) stack; the PSD factor of
+    x = (U V^T) P is P = V S V^T. For full-rank input the orthogonal
+    factor is the unique closest orthogonal matrix in Frobenius norm; for
+    singular input it is one valid (non-unique) choice.
 
     Args:
         x: square float array, or a stack of them with shape (..., d, d).
 
     Returns:
-        PolarFactors whose product reconstructs x up to rounding, each
-        factor with the shape of x.
+        Array of the shape of x, each slice orthogonal.
 
     Raises:
         NonFiniteError: x contains NaN or Inf.
@@ -56,11 +41,8 @@ def polar_decompose(x):
         raise ValidationError(f"x must be square in its last two dimensions, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise NonFiniteError("x contains NaN or Inf entries")
-    u, s, vt = np.linalg.svd(x)
-    orthogonal = u @ vt
-    psd = (vt.swapaxes(-1, -2) * s[..., None, :]) @ vt
-    psd = (psd + psd.swapaxes(-1, -2)) / 2.0
-    return PolarFactors(orthogonal=orthogonal, psd=psd)
+    u, _, vt = np.linalg.svd(x)
+    return u @ vt
 
 
 def haar_from_normals(z):

@@ -72,7 +72,7 @@ def sync_error(est_transforms, gt):
         est_k = est[nodes]
         # Stacked Procrustes: polar factor of (O^(k))^T Ohat^(k).
         cross = np.einsum("nij,nik->jk", true_k, est_k)
-        g = polar_decompose(cross).orthogonal
+        g = polar_decompose(cross)
         errs = np.linalg.norm(est_k - true_k @ g, axis=(1, 2))
         worst = max(worst, float(errs.max()))
     if worst == 0.0:

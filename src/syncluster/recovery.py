@@ -4,7 +4,7 @@ From the R factor of the blockwise CPQR: node i's block column concentrates
 its mass in one block row in the noiseless case, so the row of largest
 Frobenius norm names the cluster and the polar factor of that block (then
 transposed) gives the orthogonal transform estimate. Refinement passes
-re-assign low-confidence labels by averaged block-column similarity, and
+re-assign low-confidence labels by mean squared block-column similarity, and
 re-estimate transforms from per-cluster restricted eigenvectors, which is
 exact on noiseless connected clusters.
 """
@@ -20,10 +20,6 @@ from .linalg import polar_decompose
 # Block columns with total norm below this are treated as all-zero: the
 # node gets cluster 1, the identity transform, and confidence 0.
 _ZERO_COLUMN_CUTOFF = 1e-12
-
-# Similarities held at once by refine_clusters: examined nodes per chunk
-# times n.
-_SIMS_CHUNK_ELEMS = 2**20
 
 FLAG_ZERO_COLUMN = "ZeroColumn"
 FLAG_EMPTY_CLUSTER = "EmptyCluster"
@@ -98,7 +94,7 @@ def assign_and_extract(factors, big_k, d):
             continue
         k = labels[i] - 1
         block = r[k * d : (k + 1) * d, i * d : (i + 1) * d]
-        transforms[i] = polar_decompose(block).orthogonal.T
+        transforms[i] = polar_decompose(block).T
     flags = (FLAG_ZERO_COLUMN,) if zero_cols.any() else ()
     return RecoveryResult(
         labels=labels.astype(np.int64),
@@ -114,15 +110,17 @@ def refine_clusters(factors, result, fraction=0.10):
 
     The `fraction` quantile of the confidence distribution picks the
     re-examined set (lowest-confidence nodes, about fraction * n of them).
-    Each such node moves to the cluster maximizing the size-normalized
-    similarity sum over the frozen input clusters,
-    (1 / sqrt(|C_k|)) * sum_j ||R_.i^T R_.j||_F, ties to the smallest k.
-    Labels outside the set and all transforms are unchanged.
+    Each such node moves to the cluster of largest mean squared similarity
+    over the frozen input clusters,
+    (1 / |C_k|) * sum_{j in C_k} ||R_.i^T R_.j||_F^2, ties to the smallest
+    k; empty clusters are never chosen. Labels outside the set and all
+    transforms are unchanged.
 
-    The similarities come from ||R_.i^T R_.j||_F^2 = <R_.i R_.i^T,
-    R_.j R_.j^T>: one GEMM of the flattened (K*d)^2 Gram rows per chunk
-    of examined nodes. That costs O(f * n^2 * (K*d)^2) flops in total,
-    with memory bounded per chunk by _SIMS_CHUNK_ELEMS similarities.
+    With G_j = vec(R_.j R_.j^T), ||R_.i^T R_.j||_F^2 = <G_i, G_j>, so the
+    score is <G_i, S_k> / |C_k| against the cluster sums S_k = sum_{j in
+    C_k} G_j: one GEMM builds the K sums and one scores the examined
+    nodes, O(n * (K + d) * (K*d)^2) flops and O(n * (K*d)^2) memory,
+    linear in n.
 
     Args:
         factors: the same BlockCpqrFactors the result came from.
@@ -152,14 +150,10 @@ def refine_clusters(factors, result, fraction=0.10):
 
     blocks = r.reshape(-1, n, d).transpose(1, 0, 2)
     gram = (blocks @ blocks.transpose(0, 2, 1)).reshape(n, -1)
-    weights = onehot / np.sqrt(np.maximum(sizes, 1))
+    sums = onehot.T @ gram
+    scores = np.where(sizes > 0, (gram[examined] @ sums.T) / np.maximum(sizes, 1), -np.inf)
     labels = result.labels.copy()
-    step = max(1, _SIMS_CHUNK_ELEMS // n)
-    for lo in range(0, count, step):
-        chunk = examined[lo : lo + step]
-        sims = np.sqrt(np.maximum(gram[chunk] @ gram.T, 0.0))
-        scores = np.where(sizes > 0, sims @ weights, -np.inf)
-        labels[chunk] = np.argmax(scores, axis=1) + 1
+    labels[examined] = np.argmax(scores, axis=1) + 1
     return replace(result, labels=labels, flags=flags)
 
 
@@ -246,5 +240,5 @@ def refine_transforms(a, result, cfg=None):
         for c in range(int(components.max()) + 1):
             comp_nodes = nodes[components == c]
             blocks = top_eigenpairs(a.restrict(comp_nodes), d, cfg).vectors.reshape(-1, d, d)
-            transforms[comp_nodes] = polar_decompose(blocks).orthogonal
+            transforms[comp_nodes] = polar_decompose(blocks)
     return replace(result, transforms=transforms, flags=flags)

@@ -4,17 +4,22 @@ Every routine here deliberately takes a different computational route from
 the code under test: Gram-Schmidt projection instead of Householder
 reflections, dense LAPACK eigendecompositions instead of iterative Lanczos,
 scipy's polar/Procrustes instead of our SVD assembly, scipy's graph search
-instead of our label propagation, per-node cross-grams instead of one Gram
-GEMM, Decimal arithmetic instead of float64.
-Tests compare the two routes; neither is derived from the other.
+instead of our label propagation, per-node cross-grams instead of Gram
+GEMMs against cluster sums, Decimal arithmetic instead of float64.
+Tests compare the two routes; neither is derived from the other. The one
+exception is quadratic_control_slope, a known-quadratic kernel that
+calibrates the runtime bench's slope fitter.
 """
 
+import time
 from decimal import Decimal, getcontext
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.sparse.csgraph import connected_components
+
+from syncluster.harness import _BENCH_REPS, fit_loglog_slope
 
 
 def scalar_cpqr_pivots(x):
@@ -88,7 +93,7 @@ def refine_clusters_labels_oracle(r, d, labels, confidence, cluster_count, fract
     """Labels after the refine_clusters vote, one examined node at a time.
 
     Each of the round(fraction * n) least-confident nodes (stable order)
-    takes the cluster maximizing sum_j ||R_.i^T R_.j||_F / sqrt(|C_k|) over
+    takes the cluster maximizing sum_j ||R_.i^T R_.j||_F^2 / |C_k| over
     the frozen input clusters, skipping empty ones, ties to the smallest k.
     """
     r = np.asarray(r, dtype=np.float64)
@@ -99,12 +104,12 @@ def refine_clusters_labels_oracle(r, d, labels, confidence, cluster_count, fract
     for i in examined:
         # d x (n*d) cross-gram of node i's block column with every other.
         cross = r[:, i * d : (i + 1) * d].T @ r
-        sims = np.sqrt((cross * cross).reshape(d, n, d).sum(axis=(0, 2)))
+        sq_sims = (cross * cross).reshape(d, n, d).sum(axis=(0, 2))
         best_k, best_score = int(labels[i]), -np.inf
         for k, nodes in enumerate(members, start=1):
             if nodes.size == 0:
                 continue
-            score = sims[nodes].sum() / np.sqrt(nodes.size)
+            score = sq_sims[nodes].sum() / nodes.size
             if score > best_score:
                 best_k, best_score = k, score
         out[i] = best_k
@@ -244,3 +249,28 @@ def components_oracle(a, nodes):
     for label in raw:
         first_seen.setdefault(int(label), len(first_seen))
     return count == 1, np.array([first_seen[int(label)] for label in raw])
+
+
+def quadratic_control_slope(n_values, seed=0):
+    """Slope of a deliberately quadratic all-pairs kernel, same fitter.
+
+    Calibrates the log-log fit of the runtime bench: the kernel computes
+    all pairwise squared distances of n planar points, which is
+    Theta(n^2) work, so the fitted slope should come out near 2. Timed
+    with the bench's protocol, the median of _BENCH_REPS repetitions after
+    one discarded warm-up.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    medians = []
+    for n in n_values:
+        x = rng.standard_normal((int(n), 2))
+        samples = []
+        for rep in range(_BENCH_REPS + 1):
+            t0 = time.perf_counter()
+            diff = x[:, None, :] - x[None, :, :]
+            (diff * diff).sum()
+            elapsed = (time.perf_counter() - t0) * 1e3
+            if rep:
+                samples.append(elapsed)
+        medians.append(float(np.median(samples)))
+    return fit_loglog_slope(n_values, medians)

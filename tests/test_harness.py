@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import syncluster
 from syncluster import harness
 from syncluster.errors import NonFiniteError, ParseError, ValidationError
@@ -23,7 +24,6 @@ from syncluster.harness import (
     fit_loglog_slope,
     load_config,
     load_model_config,
-    quadratic_control_slope,
     resolve_cells,
     run_runtime_bench,
     run_sweep,
@@ -140,6 +140,10 @@ def test_spec_validation_messages():
         SweepSpec(mode="runtime").validate()
     with pytest.raises(ValidationError, match="sigma"):
         _small_spec(sigma=-0.5).validate()
+    with pytest.raises(ValidationError, match="tolerance"):
+        _small_spec(solver_tolerance=0.0).validate()
+    with pytest.raises(ValidationError, match="max_iterations"):
+        _small_spec(solver_max_iterations=0).validate()
 
 
 # --- sweeps -----------------------------------------------------------------
@@ -273,7 +277,7 @@ def test_loglog_slope_recovers_exact_power_law():
 
 
 def test_quadratic_control_slope_reads_near_two():
-    slope = quadratic_control_slope((500, 1000, 2000), seed=3)
+    slope = oracles.quadratic_control_slope((500, 1000, 2000), seed=3)
     assert 1.5 <= slope <= 2.5
 
 
@@ -293,6 +297,7 @@ def test_runtime_bench_rows_and_manifest(tmp_path):
     assert len(got) == 1 + len(rows)
     manifest = json.loads((tmp_path / "bench.csv.manifest.json").read_text())
     assert set(manifest["slopes"]) == {"excl_eigen", "total"}
+    assert manifest["csv_columns"] == list(BENCH_COLUMNS)
 
 
 def test_runtime_bench_requires_runtime_mode():

@@ -36,23 +36,35 @@ def _conditioned_matrix(rng, d, smin=0.5, smax=2.0):
     return (u * s) @ v.T
 
 
+def _psd_factor(u, x):
+    """The PSD factor P = U^T x of x = U P, slice by slice."""
+    return u.swapaxes(-1, -2) @ x
+
+
+def _assert_polar_pair(u, x, psd_atol):
+    """U orthogonal, P = U^T x symmetric PSD, and U @ P reconstructing x."""
+    p = _psd_factor(u, x)
+    scale = max(1.0, np.linalg.norm(x))
+    assert _ortho_defect(u) <= ORTHOGONALITY_ATOL
+    assert np.linalg.norm(p - p.T) <= POLAR_RECONSTRUCTION_RTOL * scale
+    assert np.linalg.eigvalsh((p + p.T) / 2.0).min() >= -psd_atol
+    assert np.linalg.norm(u @ p - x) <= POLAR_RECONSTRUCTION_RTOL * scale
+
+
 @given(seeds, dims, scale_exponents)
 def test_property_orthogonality_polar(seed, d, expo):
     rng = _gen(seed)
     x = rng.standard_normal((d, d)) * 10.0**expo
-    factors = polar_decompose(x)
-    assert _ortho_defect(factors.orthogonal) <= ORTHOGONALITY_ATOL
-    assert np.allclose(factors.psd, factors.psd.T, atol=0)
-    assert np.linalg.eigvalsh(factors.psd).min() >= -1e-8 * max(1.0, 10.0**expo)
+    u = polar_decompose(x)
+    assert u.shape == x.shape
+    assert _ortho_defect(u) <= ORTHOGONALITY_ATOL
 
 
 @given(seeds, dims, scale_exponents)
 def test_property_reconstruction_polar(seed, d, expo):
     rng = _gen(seed)
     x = rng.standard_normal((d, d)) * 10.0**expo
-    factors = polar_decompose(x)
-    err = np.linalg.norm(factors.orthogonal @ factors.psd - x)
-    assert err <= POLAR_RECONSTRUCTION_RTOL * max(1.0, np.linalg.norm(x))
+    _assert_polar_pair(polar_decompose(x), x, psd_atol=1e-8 * max(1.0, 10.0**expo))
 
 
 @given(seeds, dims, st.integers(min_value=0, max_value=5))
@@ -62,18 +74,18 @@ def test_polar_matches_scipy_oracle(seed, d, slices):
     xs = [_conditioned_matrix(rng, d) for _ in range(max(slices, 1))]
     x = np.stack(xs) if slices else xs[0]
     mine = polar_decompose(x)
-    assert mine.orthogonal.shape == mine.psd.shape == x.shape
-    for x_t, u_t, p_t in zip(xs, mine.orthogonal.reshape(-1, d, d), mine.psd.reshape(-1, d, d)):
+    assert mine.shape == x.shape
+    for x_t, u_t in zip(xs, mine.reshape(-1, d, d)):
         u_ref, p_ref = oracles.polar_oracle(x_t)
         assert np.linalg.norm(u_t - u_ref) <= 1e-9
-        assert np.linalg.norm(p_t - p_ref) <= 1e-9
+        assert np.linalg.norm(_psd_factor(u_t, x_t) - p_ref) <= 1e-9
 
 
 @given(seeds, dims)
 def test_polar_minimizer_among_orthogonal(seed, d):
     rng = _gen(seed)
     x = _conditioned_matrix(rng, d)
-    best = np.linalg.norm(x - polar_decompose(x).orthogonal)
+    best = np.linalg.norm(x - polar_decompose(x))
     for _ in range(100):
         y = haar_from_normals(rng.standard_normal((d, d)))
         assert best <= np.linalg.norm(x - y) + 1e-12
@@ -83,9 +95,9 @@ def test_polar_minimizer_among_orthogonal(seed, d):
 def test_polar_fixes_orthogonal_input(seed, d):
     rng = _gen(seed)
     o = haar_from_normals(rng.standard_normal((d, d)))
-    factors = polar_decompose(o)
-    assert np.linalg.norm(factors.orthogonal - o) <= 1e-10
-    assert np.linalg.norm(factors.psd - np.eye(d)) <= 1e-10
+    u = polar_decompose(o)
+    assert np.linalg.norm(u - o) <= 1e-10
+    assert np.linalg.norm(_psd_factor(u, o) - np.eye(d)) <= 1e-10
 
 
 @given(seeds, st.integers(min_value=2, max_value=8))
@@ -96,16 +108,13 @@ def test_polar_rank_deficient_still_valid(seed, d):
     s = rng.uniform(0.5, 2.0, size=d)
     s[-1] = 0.0
     x = (u * s) @ v.T
-    factors = polar_decompose(x)
-    assert _ortho_defect(factors.orthogonal) <= ORTHOGONALITY_ATOL
-    err = np.linalg.norm(factors.orthogonal @ factors.psd - x)
-    assert err <= POLAR_RECONSTRUCTION_RTOL * max(1.0, np.linalg.norm(x))
+    _assert_polar_pair(polar_decompose(x), x, psd_atol=1e-8)
 
 
 def test_polar_one_by_one_negative():
-    factors = polar_decompose(np.array([[-3.0]]))
-    assert factors.orthogonal[0, 0] == pytest.approx(-1.0)
-    assert factors.psd[0, 0] == pytest.approx(3.0)
+    u = polar_decompose(np.array([[-3.0]]))
+    assert u[0, 0] == pytest.approx(-1.0)
+    assert _psd_factor(u, np.array([[-3.0]]))[0, 0] == pytest.approx(3.0)
 
 
 def test_polar_rejects_bad_input():

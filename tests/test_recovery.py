@@ -179,6 +179,27 @@ def test_refine_clusters_flags_empty_cluster():
     assert FLAG_EMPTY_CLUSTER in refined.flags
 
 
+def test_refine_clusters_scores_mean_squared_similarity():
+    # d = 1, so the similarity of nodes i and j is |r_i . r_j|. Node 0,
+    # r_0 = (0.6, 0.8), is examined in cluster 1 = {0, 1, 2, 3, 4}, whose
+    # other members r_j = (1, 0) give 0.6 each; cluster 2 = {5}, with
+    # r_5 = (0, 1.2), gives 0.96. Mean squared similarity picks cluster 2,
+    # (1 + 4 * 0.36) / 5 = 0.488 < 0.9216, where a plain sum over
+    # sqrt(|C_k|) would keep cluster 1, (1 + 4 * 0.6) / sqrt(5) = 1.52 > 0.96.
+    r = np.zeros((2, 6))
+    r[:, 0] = (0.6, 0.8)
+    r[0, 1:5] = 1.0
+    r[1, 5] = 1.2
+    result = RecoveryResult(
+        labels=np.array([1, 1, 1, 1, 1, 2]),
+        transforms=np.ones((6, 1, 1)),
+        confidence=np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+        cluster_count=2,
+    )
+    refined = refine_clusters(_factors_from_r(r, 1), result, fraction=1 / 6)
+    assert list(refined.labels) == [2, 1, 1, 1, 1, 2]
+
+
 @given(
     seeds,
     st.integers(min_value=1, max_value=4),  # K
