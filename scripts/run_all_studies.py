@@ -4,7 +4,9 @@
 Each study is a config file under scripts/configs/; results land in
 --out-dir (default results/) as <study>.csv plus a .manifest.json sidecar
 recording the resolved spec. Studies are independent and seeded, so a
-rerun with the same arguments reproduces the CSVs byte for byte.
+rerun with the same arguments reproduces every science column; the t_*_ms
+timing columns are wall-clock times, byte-identical only when a config
+sets zero_timings = 1.
 
     python3 scripts/run_all_studies.py
     python3 scripts/run_all_studies.py --only eta_threshold --workers 4

@@ -21,7 +21,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -92,7 +92,11 @@ class SweepSpec:
     zero_timings: bool = False
 
     def validate(self):
-        """Check the fields every mode shares, then resolve the cells."""
+        """Check the run settings, then resolve the cells.
+
+        Building the SolverConfig checks the solver settings, and each
+        cell's ModelParams checks its model settings, before any trial.
+        """
         if self.refine not in REFINE_CHOICES:
             raise ValidationError(f"refine must be one of {'/'.join(REFINE_CHOICES)}")
         if self.trials < 1:
@@ -101,21 +105,13 @@ class SweepSpec:
             raise ValidationError("workers must be at least 1")
         if not 0.0 <= self.fraction <= 1.0:
             raise ValidationError("fraction must lie in [0, 1]")
-        if self.sigma < 0:
-            raise ValidationError("sigma must be non-negative")
-        if self.n is not None and self.n < 2:
-            raise ValidationError("n must be at least 2")
-        if self.K < 1:
-            raise ValidationError("K must be at least 1")
-        if self.d < 1:
-            raise ValidationError("d must be at least 1")
         _solver_config(self, seed=0)
-        # Cell resolution holds the per-mode checks and re-checks derived
-        # probabilities; calling it here surfaces them at validation time.
         resolve_cells(self)
 
 
 def _derived_prob(coef, n, what):
+    if n < 2:
+        raise ValidationError("n must be at least 2")
     value = coef * math.log(n) / n
     if not 0.0 <= value <= 1.0:
         raise ValidationError(
@@ -132,6 +128,7 @@ def _cell(spec, *, n=None, d=None, alpha=None, beta=None, p=None, q=None, sigma=
         p = _derived_prob(alpha, n, "alpha")
     if q is None:
         q = _derived_prob(beta, n, "beta")
+    params = ModelParams(n=n, K=spec.K, d=d, p=p, q=q, sizes=spec.sizes, sigma=sigma)
     try:
         cell_eta = eta(n, p, q, d)
     except DomainError:  # p = 0
@@ -139,7 +136,7 @@ def _cell(spec, *, n=None, d=None, alpha=None, beta=None, p=None, q=None, sigma=
     return {
         "mode": spec.mode, "n": n, "K": spec.K, "d": d,
         "alpha": alpha, "beta": beta, "p": p, "q": q,
-        "sigma": sigma, "eta": cell_eta,
+        "sigma": sigma, "eta": cell_eta, "params": params,
     }
 
 
@@ -150,8 +147,10 @@ def resolve_cells(spec):
     noise-grid cross alpha x beta x sigma_list (or the fixed sigma),
     eta-sweep solves the free density axis per target eta, snr takes one
     cell per d_list entry at absolute p and q, and runtime one cell per
-    n_list entry at p = q = density * log(n) / n, with density alpha[0]
-    or BENCH_DENSITY.
+    n_list entry (at least two distinct, to fit a slope) at
+    p = q = density * log(n) / n, with density alpha[0] or BENCH_DENSITY.
+    Each cell carries its ModelParams under "params" (seed 0), whose
+    checks reject bad model settings.
     """
     if spec.mode in ("grid", "noise-grid"):
         if spec.n is None:
@@ -159,8 +158,6 @@ def resolve_cells(spec):
         if not spec.alpha or not spec.beta:
             raise ValidationError(f"{spec.mode} mode needs alpha and beta")
         sigmas = spec.sigma_values if spec.sigma_values else (spec.sigma,)
-        if any(s < 0 for s in sigmas):
-            raise ValidationError("sigma_list entries must be non-negative")
         return [
             _cell(spec, alpha=a, beta=b, sigma=s)
             for a in spec.alpha for b in spec.beta for s in sigmas
@@ -194,17 +191,10 @@ def resolve_cells(spec):
             raise ValidationError(f"{spec.mode} mode needs n")
         p = 0.5 if spec.p is None else spec.p
         q = 0.5 if spec.q is None else spec.q
-        for prob, name in ((p, "p"), (q, "q")):
-            if not 0.0 <= prob <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1]")
-        if any(d < 1 for d in spec.d_values):
-            raise ValidationError("d_list entries must be at least 1")
         return [_cell(spec, d=d, p=p, q=q) for d in spec.d_values]
     if spec.mode == "runtime":
-        if not spec.n_values:
-            raise ValidationError("runtime mode needs n_list")
-        if any(n < 2 for n in spec.n_values):
-            raise ValidationError("n_list entries must be at least 2")
+        if len(set(spec.n_values)) < 2:
+            raise ValidationError("runtime mode needs at least two distinct n_list entries")
         density = spec.alpha[0] if spec.alpha else BENCH_DENSITY
         return [_cell(spec, n=n, alpha=density, beta=density) for n in spec.n_values]
     raise ValidationError(f"mode must be one of {'/'.join(MODES)}")
@@ -267,11 +257,7 @@ def _trial_inputs(cell, spec, subseed):
     Returns:
         (gt, a, cfg): ground truth, observed matrix and SolverConfig.
     """
-    params = ModelParams(
-        n=cell["n"], K=cell["K"], d=cell["d"], p=cell["p"], q=cell["q"],
-        sizes=spec.sizes, sigma=cell["sigma"], seed=subseed,
-    )
-    gt, a = generate_instance(params)
+    gt, a = generate_instance(replace(cell["params"], seed=subseed))
     return gt, a, _solver_config(spec, subseed)
 
 
@@ -303,8 +289,6 @@ def _run_trial(task):
 def _fmt(value, timing=False):
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return f"{value:.3f}" if timing else repr(value)
     return str(value)

@@ -80,6 +80,14 @@ def sync_error(est_transforms, gt):
     return max(float(np.log(worst / np.sqrt(gt.d))), LOG_ZERO_FLOOR)
 
 
+def _check_n_d(n, d):
+    """The node count and block size every form of the statistic needs."""
+    if n < 2:
+        raise ValidationError("n must be at least 2")
+    if d < 1:
+        raise ValidationError("d must be at least 1")
+
+
 def eta(n, p, q, d):
     """The recovery-threshold statistic of the random block model.
 
@@ -99,10 +107,7 @@ def eta(n, p, q, d):
         DomainError: p == 0 (the statistic diverges).
         ValidationError: any argument outside its range.
     """
-    if n < 2:
-        raise ValidationError("n must be at least 2")
-    if d < 1:
-        raise ValidationError("d must be at least 1")
+    _check_n_d(n, d)
     if not 0.0 <= q <= 1.0:
         raise ValidationError("q must lie in [0, 1]")
     if not 0.0 <= p <= 1.0:
@@ -122,8 +127,10 @@ def beta_for_eta(target, alpha, n, d):
         beta as a float.
 
     Raises:
-        ValidationError: the implied q leaves [0, 1] or p leaves (0, 1].
+        ValidationError: n < 2, d < 1, or the implied q leaves [0, 1] or
+            p leaves (0, 1].
     """
+    _check_n_d(n, d)
     if target < 0:
         raise ValidationError("target statistic must be non-negative")
     log_n = np.log(n)
@@ -150,8 +157,10 @@ def alpha_for_eta(target, beta, n, d):
         alpha as a float.
 
     Raises:
-        ValidationError: no p in (0, 1] attains the target.
+        ValidationError: n < 2, d < 1, or no p in (0, 1] attains the
+            target.
     """
+    _check_n_d(n, d)
     if target <= 0:
         raise ValidationError("target statistic must be positive")
     log_n = np.log(n)

@@ -94,8 +94,8 @@ class ModelParams:
             raise ValidationError("p must lie in [0, 1]")
         if not 0.0 <= self.q <= 1.0:
             raise ValidationError("q must lie in [0, 1]")
-        if self.sigma < 0.0:
-            raise ValidationError("sigma must be non-negative")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValidationError("sigma must be finite and non-negative")
         if self.sizes is None:
             base, extra = divmod(self.n, self.K)
             if base == 0:
@@ -128,6 +128,8 @@ class GroundTruth:
         labels = np.asarray(self.labels, dtype=np.int64)
         transforms = np.asarray(self.transforms, dtype=np.float64)
         sizes = np.asarray(self.sizes, dtype=np.int64)
+        if self.n < 1:
+            raise ValidationError("n must be at least 1")
         if labels.shape != (self.n,):
             raise ValidationError("labels must have one entry per node")
         if labels.min() < 1 or labels.max() > self.K:
@@ -417,14 +419,14 @@ def add_gaussian_noise(a, sigma, source):
 
     Args:
         a: SparseBlockMatrix.
-        sigma: noise level, >= 0.
+        sigma: noise level, finite and >= 0.
         source: RandomSource rooting the noise draws.
 
     Returns:
         SparseBlockMatrix.
     """
-    if sigma < 0:
-        raise ValidationError("sigma must be non-negative")
+    if not 0.0 <= sigma < np.inf:
+        raise ValidationError("sigma must be finite and non-negative")
     if sigma == 0:
         return a
     n, d = a.n, a.d

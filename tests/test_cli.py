@@ -128,6 +128,15 @@ def test_solve_negative_seed_exits_one(model_conf, tmp_path, capsys):
     assert err.startswith("error:") and "seed must be non-negative" in err
 
 
+def test_generate_rejects_non_finite_sigma(tmp_path, capsys):
+    conf = tmp_path / "noisy.conf"
+    conf.write_text("n = 24\nK = 2\nd = 2\np = 1.0\nq = 0.0\nsigma = nan\n")
+    out = tmp_path / "instance.bin"
+    assert main(["generate", "--config", str(conf), "--out", str(out)]) == 1
+    assert "sigma must be finite and non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_missing_file_exits_two(tmp_path):
     assert main(["solve", str(tmp_path / "ghost.bin")]) == 2
 

@@ -4,8 +4,10 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +148,34 @@ def test_spec_validation_messages():
         _small_spec(solver_max_iterations=0).validate()
 
 
+_GRID = dict(mode="grid", n=40, K=2, d=2, alpha=(8.0,), beta=(1.0,), trials=1)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (SweepSpec(**_GRID, sizes=(10, 20)), "sum to n"),
+        (SweepSpec(**_GRID, sizes=(10, 10, 20)), "exactly K"),
+        (SweepSpec(mode="runtime", sizes=(50, 50), n_values=(100, 200)), "sum to n"),
+        (SweepSpec(**_GRID, sigma=float("nan")), "sigma must be finite"),
+        (SweepSpec(**_GRID, sigma=float("inf")), "sigma must be finite"),
+        (SweepSpec(**dict(_GRID, mode="noise-grid"), sigma_values=(0.1, float("nan"))),
+         "sigma must be finite"),
+        (SweepSpec(**dict(_GRID, mode="noise-grid"), sigma_values=(float("inf"),)),
+         "sigma must be finite"),
+        (SweepSpec(mode="runtime", n_values=(100,)), "at least two distinct n_list"),
+        (SweepSpec(mode="runtime", n_values=(100, 100)), "at least two distinct n_list"),
+        (SweepSpec(mode="eta-sweep", n=400, d=0, beta=(2.0,), eta_values=(0.5,)), "d must be"),
+        (SweepSpec(mode="eta-sweep", n=1, beta=(1.0,), eta_values=(0.5,)), "n must be"),
+    ],
+)
+def test_bad_model_settings_fail_in_validate(spec, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            spec.validate()
+
+
 # --- sweeps -----------------------------------------------------------------
 
 
@@ -197,6 +227,22 @@ def test_sweep_independent_of_worker_count(tmp_path):
     run_sweep(_small_spec(alpha=(6.0, 8.0), trials=2, workers=1), serial)
     run_sweep(_small_spec(alpha=(6.0, 8.0), trials=2, workers=2), parallel)
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_transform_refinement_sweeps_recover_and_time_every_phase(tmp_path):
+    out = tmp_path / "sweep.csv"
+    for refine in ("transforms", "both"):
+        run_sweep(_small_spec(n=40, d=2, beta=(0.0,), refine=refine, zero_timings=False), out)
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        for row in rows:
+            assert float(row["exact"]) == 1
+            assert float(row["sync_error_log"]) <= math.log(1e-6)
+            assert row["flags"] == ""
+            for col in ("t_eigen_ms", "t_cpqr_ms", "t_recover_ms", "t_refine_ms"):
+                assert re.fullmatch(r"\d+\.\d{3}", row[col]), (refine, col, row[col])
+            assert float(row["t_refine_ms"]) > 0
 
 
 def test_snr_column_present_only_for_two_clusters(tmp_path):

@@ -1,6 +1,7 @@
 """Evaluation quantities against Decimal, scipy, and loop oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,16 @@ def test_eta_inversion_rejects_unreachable_targets():
         alpha_for_eta(0.0, 1.0, 100, 2)
     with pytest.raises(ValidationError):
         alpha_for_eta(0.5, 400.0, 100, 2)  # implied q above 1
+
+
+@pytest.mark.parametrize("n, d, message", [(400, 0, "d must be"), (1, 2, "n must be"), (0, 2, "n must be")])
+def test_eta_inversion_checks_n_and_d_before_dividing(n, d, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            alpha_for_eta(0.5, 2.0, n, d)
+        with pytest.raises(ValidationError, match=message):
+            beta_for_eta(0.5, 2.0, n, d)
 
 
 # --- two-cluster separation -------------------------------------------------

@@ -76,6 +76,18 @@ def test_ground_truth_rejects_bad_shapes():
     with pytest.raises(ValidationError):
         GroundTruth(n=3, K=2, d=1, labels=np.array([1, 1, 1]),
                     transforms=np.ones((3, 1, 1)), sizes=np.array([3, 0]))
+    with pytest.raises(ValidationError, match="n must be at least 1"):
+        GroundTruth(n=0, K=1, d=1, labels=np.zeros(0, np.int64),
+                    transforms=np.zeros((0, 1, 1)), sizes=np.array([0]))
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_non_finite_sigma_is_rejected(sigma):
+    with pytest.raises(ValidationError, match="sigma must be finite and non-negative"):
+        ModelParams(n=4, K=2, d=2, p=0.5, q=0.0, sigma=sigma)
+    _, a = generate_instance(ModelParams(n=4, K=2, d=2, p=1.0, q=0.0, seed=1))
+    with pytest.raises(ValidationError, match="sigma must be finite and non-negative"):
+        add_gaussian_noise(a, sigma, RandomSource(1))
 
 
 @given(small_models)
