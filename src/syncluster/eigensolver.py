@@ -50,8 +50,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValidationError("tolerance must be positive")
+        if not 0 < self.tolerance < np.inf:
+            raise ValidationError("tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be at least 1")
         if self.seed < 0:

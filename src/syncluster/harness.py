@@ -92,10 +92,13 @@ class SweepSpec:
     zero_timings: bool = False
 
     def validate(self):
-        """Check the run settings, then resolve the cells.
+        """Check the run settings, then resolve the cells and return them.
 
         Building the SolverConfig checks the solver settings, and each
         cell's ModelParams checks its model settings, before any trial.
+
+        Returns:
+            The resolve_cells list, so a run expands the spec only once.
         """
         if self.refine not in REFINE_CHOICES:
             raise ValidationError(f"refine must be one of {'/'.join(REFINE_CHOICES)}")
@@ -106,7 +109,7 @@ class SweepSpec:
         if not 0.0 <= self.fraction <= 1.0:
             raise ValidationError("fraction must lie in [0, 1]")
         _solver_config(self, seed=0)
-        resolve_cells(self)
+        return resolve_cells(self)
 
 
 def _derived_prob(coef, n, what):
@@ -327,8 +330,7 @@ def run_sweep(spec, out_path=None):
         (trial_values, summary_values): lists of per-row value dicts, in
         (cell, trial) order and cell order respectively.
     """
-    spec.validate()
-    cells = resolve_cells(spec)
+    cells = spec.validate()
     master = RandomSource(spec.seed)
     tasks = [
         (cell, t, master.subseed(ci, t), spec)
@@ -394,12 +396,12 @@ def run_runtime_bench(spec, out_path=None):
         (rows, slopes): rows are (n, phase, ms) tuples; slopes maps
         "excl_eigen" and "total" to fitted exponents.
     """
-    spec.validate()
+    cells = spec.validate()
     if spec.mode != "runtime":
         raise ValidationError("run_runtime_bench needs mode=runtime")
     master = RandomSource(spec.seed)
     rows, medians = [], []
-    for ci, cell in enumerate(resolve_cells(spec)):
+    for ci, cell in enumerate(cells):
         samples = []
         for rep in range(_BENCH_REPS + 1):
             _, a, cfg = _trial_inputs(cell, spec, master.subseed(ci, rep))

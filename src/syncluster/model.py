@@ -10,9 +10,13 @@ batched GEMMs over tiles of destination nodes, O(d^2) work per stored block
 and column.
 
 All randomness is rooted in a single integer seed through named Philox
-streams: each consumer owns a stream and reads it in the canonical
-lexicographic pair order, so a run is bit-reproducible from its seed alone
-and never depends on iteration order or scheduling.
+streams, each owned by one consumer and read in a fixed order, so a run is
+bit-reproducible from its seed alone and never depends on scheduling. The
+presence stream is read block by block, one (cluster a, cluster b) block of
+the pair triangle at a time with a <= b; the impostor and noise streams are
+read in the lexicographic order of the pairs they fill. Generation costs
+O(m) time and memory for m stored blocks; sigma > 0 stores every pair and
+is bounded by a memory budget instead.
 """
 
 import struct
@@ -34,6 +38,13 @@ _STREAM_NOISE = 3
 # enough that per-tile numpy overhead is small against the arithmetic, small
 # enough that the gathered blocks and operand rows stay cache-sized.
 _MATVEC_TILE_ELEMS = 1 << 15
+
+# Largest noise-block payload (n(n-1)/2 * d^2 float64s) that sigma > 0 may
+# draw. The noise path peaks at about four times its block data (the noise,
+# the index grid, the pairs and SparseBlockMatrix's sorted copies), so a
+# size over this fails with ValidationError before anything is allocated,
+# not with an out-of-memory kill partway through.
+_DENSE_NOISE_BUDGET_BYTES = 1 << 30
 
 _MAGIC = b"JSYN"
 _FORMAT_VERSION = 1
@@ -96,6 +107,8 @@ class ModelParams:
             raise ValidationError("q must lie in [0, 1]")
         if not 0.0 <= self.sigma < np.inf:
             raise ValidationError("sigma must be finite and non-negative")
+        if self.sigma > 0:
+            _check_dense_noise_budget(self.n, self.d)
         if self.sizes is None:
             base, extra = divmod(self.n, self.K)
             if base == 0:
@@ -343,19 +356,50 @@ def generate_ground_truth(params, source=None):
     )
 
 
-def _pair_grid(n):
-    """All unordered pairs i < j in lexicographic order."""
-    return np.triu_indices(n, k=1)
+def _check_dense_noise_budget(n, d):
+    """Reject a noisy size whose every-pair noise blocks exceed the budget."""
+    need = n * (n - 1) // 2 * d * d * 8
+    if need > _DENSE_NOISE_BUDGET_BYTES:
+        raise ValidationError(
+            f"sigma > 0 stores a block for every pair: n={n}, d={d} needs "
+            f"{need / 2**30:.2f} GiB of noise blocks, over the "
+            f"{_DENSE_NOISE_BUDGET_BYTES / 2**30:g} GiB budget"
+        )
+
+
+def _unrank_triangle(ranks, s):
+    """Pairs (i, j) with i < j < s at the given lexicographic ranks.
+
+    Row i starts at rank i(2s - i - 1)/2, so the row of rank r is the
+    smaller root of that quadratic, taken in float64 and then corrected by
+    at most one in either direction with exact integer arithmetic.
+
+    Returns:
+        (i, j) int64 arrays shaped like ranks.
+    """
+    ranks = np.asarray(ranks, dtype=np.int64)
+    b = 2 * s - 1
+    i = np.floor((b - np.sqrt(float(b) * b - 8.0 * ranks)) / 2).astype(np.int64)
+    i -= i * (b - i) // 2 > ranks
+    i += (i + 1) * (b - i - 1) // 2 <= ranks
+    return i, ranks - i * (b - i) // 2 + i + 1
 
 
 def generate_observation(gt, p, q, source):
-    """Draw the random block observation matrix.
+    """Draw the random block observation matrix in O(m) time and memory.
 
     Independently for each unordered pair i < j: a same-cluster pair carries
     the exact relative transform O_i O_j^T with probability p; a cross-pair
     carries a Haar-uniform block with probability q; otherwise the pair is
     absent. Setting p=1, q=0 gives the noiseless matrix, which stores
     exactly the same-cluster pairs.
+
+    Only the m stored pairs are ever drawn. For each (cluster a, cluster b)
+    block of the pair triangle, a <= b in order, the presence stream gives
+    a Binomial(total, p or q) count and then that many distinct ranks among
+    the block's total pairs, unranked to (i, j) by divmod (a < b) or the
+    triangle inverse (a == b). Impostor blocks come from the cross stream
+    in the sorted order of the cross pairs.
 
     Args:
         gt: GroundTruth.
@@ -371,24 +415,35 @@ def generate_observation(gt, p, q, source):
     if not 0.0 <= q <= 1.0:
         raise ValidationError("q must lie in [0, 1]")
     n, d = gt.n, gt.d
-    i_arr, j_arr = _pair_grid(n)
-    same = gt.labels[i_arr] == gt.labels[j_arr]
-    u = source.stream(_STREAM_PRESENCE).random(i_arr.size)
-    present = np.where(same, u < p, u < q)
-    within = present & same
+    sizes = gt.sizes.tolist()
+    members = np.split(np.argsort(gt.labels, kind="stable"), np.cumsum(sizes)[:-1])
+    rng = source.stream(_STREAM_PRESENCE)
+    i_parts, j_parts = [], []
+    for a in range(gt.K):
+        for b in range(a, gt.K):
+            total = sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b]
+            count = rng.binomial(total, p if a == b else q)
+            ranks = rng.choice(total, count, replace=False)
+            if a == b:
+                x, y = _unrank_triangle(ranks, sizes[a])
+            else:
+                x, y = np.divmod(ranks, sizes[b])
+            u, v = members[a][x], members[b][y]
+            i_parts.append(np.minimum(u, v))
+            j_parts.append(np.maximum(u, v))
+    i_arr, j_arr = np.concatenate(i_parts), np.concatenate(j_parts)
+    order = np.lexsort((j_arr, i_arr))
+    i_arr, j_arr = i_arr[order], j_arr[order]
 
-    pairs = np.column_stack((i_arr[present], j_arr[present]))
-    data = np.empty((int(present.sum()), d, d))
-    within_in_present = same[present]
-    if within.any():
-        oi = gt.transforms[i_arr[within]]
-        oj = gt.transforms[j_arr[within]]
-        data[within_in_present] = np.matmul(oi, oj.transpose(0, 2, 1))
-    cross_count = int(present.sum()) - int(within.sum())
+    within = gt.labels[i_arr] == gt.labels[j_arr]
+    data = np.empty((i_arr.size, d, d))
+    data[within] = np.matmul(gt.transforms[i_arr[within]],
+                             gt.transforms[j_arr[within]].transpose(0, 2, 1))
+    cross_count = i_arr.size - int(within.sum())
     if cross_count:
         z = source.stream(_STREAM_CROSS).standard_normal((cross_count, d, d))
-        data[~within_in_present] = haar_from_normals(z)
-    return SparseBlockMatrix(n, d, pairs, data)
+        data[~within] = haar_from_normals(z)
+    return SparseBlockMatrix(n, d, np.column_stack((i_arr, j_arr)), data)
 
 
 def generate_instance(params, source=None):
@@ -424,13 +479,18 @@ def add_gaussian_noise(a, sigma, source):
 
     Returns:
         SparseBlockMatrix.
+
+    Raises:
+        ValidationError: sigma > 0 and the n(n-1)/2 noise blocks would
+            exceed the dense-noise memory budget (1 GiB).
     """
     if not 0.0 <= sigma < np.inf:
         raise ValidationError("sigma must be finite and non-negative")
     if sigma == 0:
         return a
     n, d = a.n, a.d
-    i_arr, j_arr = _pair_grid(n)
+    _check_dense_noise_budget(n, d)
+    i_arr, j_arr = np.triu_indices(n, k=1)
     data = source.stream(_STREAM_NOISE).standard_normal((i_arr.size, d, d))
     data *= sigma
     if a.pair_count:

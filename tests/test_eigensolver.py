@@ -181,6 +181,14 @@ def test_solver_config_validation():
         SolverConfig(seed=-1)
 
 
+def test_infinite_tolerance_is_rejected():
+    # An infinite tolerance would stop at once on an unconverged basis.
+    with pytest.raises(ValidationError, match="positive and finite"):
+        SolverConfig(tolerance=float("inf"))
+    with pytest.raises(ValidationError, match="positive and finite"):
+        SolverConfig(tolerance=float("nan"))
+
+
 def test_never_materializes_dense_matrix():
     # Dense would need (n*d)^2 * 8 bytes = 128 MB; the solver must stay
     # well under that while multiplying through stored blocks only.

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -146,6 +147,30 @@ def test_spec_validation_messages():
         _small_spec(solver_tolerance=0.0).validate()
     with pytest.raises(ValidationError, match="max_iterations"):
         _small_spec(solver_max_iterations=0).validate()
+
+
+def test_infinite_solver_tolerance_fails_in_validate():
+    with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
+        _small_spec(solver_tolerance=float("inf")).validate()
+
+
+def test_validate_returns_the_resolved_cells():
+    spec = _small_spec(alpha=(6.0, 8.0), beta=(0.5, 1.0))
+    assert spec.validate() == resolve_cells(spec)
+
+
+def test_dense_noise_spec_over_budget_fails_before_allocating():
+    # sigma > 0 at n=20000, d=2 would need 6.4 GB of noise blocks.
+    spec = SweepSpec(mode="grid", n=20000, K=2, d=2, alpha=(8.0,), beta=(1.0,),
+                     sigma=0.1, trials=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="over the 1 GiB budget"):
+            spec.validate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 _GRID = dict(mode="grid", n=40, K=2, d=2, alpha=(8.0,), beta=(1.0,), trials=1)

@@ -1,5 +1,7 @@
 """Random-model generation, the block-sparse matrix, and serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -12,6 +14,7 @@ from syncluster.model import (
     ModelParams,
     RandomSource,
     SparseBlockMatrix,
+    _unrank_triangle,
     add_gaussian_noise,
     generate_ground_truth,
     generate_instance,
@@ -148,6 +151,91 @@ def test_presence_rates_track_probabilities():
     cross_total = params.n * (params.n - 1) // 2 - same_total
     assert same.sum() / same_total == pytest.approx(0.7, abs=0.1)
     assert (~same).sum() / cross_total == pytest.approx(0.2, abs=0.1)
+
+
+def test_triangle_unranking_inverts_the_pair_rank():
+    for s in range(1, 60):
+        i, j = _unrank_triangle(np.arange(s * (s - 1) // 2), s)
+        want_i, want_j = np.triu_indices(s, k=1)
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+    # At a cluster of 3e5 nodes, check random pairs plus the first and last
+    # pair of every row, where rounding the float root could move the row.
+    s = 300_000
+    rng = np.random.default_rng(8)
+    rows = np.arange(s - 1)
+    i = np.concatenate((rng.integers(0, s - 1, 100_000), rows, rows))
+    j = np.concatenate((i[:100_000] + 1 + rng.integers(0, s - 1 - i[:100_000]),
+                        rows + 1, np.full(s - 1, s - 1)))
+    ranks = i * (2 * s - i - 1) // 2 + (j - i - 1)
+    got_i, got_j = _unrank_triangle(ranks, s)
+    assert np.array_equal(got_i, i) and np.array_equal(got_j, j)
+
+
+def _all_pairs(labels, same):
+    i_arr, j_arr = np.triu_indices(labels.size, k=1)
+    keep = (labels[i_arr] == labels[j_arr]) == same
+    return np.column_stack((i_arr[keep], j_arr[keep]))
+
+
+@pytest.mark.parametrize("sizes", [(40, 25, 7), (60,), (1, 1, 1, 5), (1, 30)])
+@pytest.mark.parametrize("interleaved", [False, True])
+def test_sampled_pairs_are_distinct_and_in_their_blocks(sizes, interleaved):
+    n = sum(sizes)
+    gt = generate_ground_truth(ModelParams(n=n, K=len(sizes), d=2, p=1.0, q=0.0,
+                                           sizes=sizes, seed=3))
+    if interleaved:
+        # Labels need not be contiguous; cross pairs then unrank to either
+        # orientation and must come back as i < j.
+        perm = np.random.default_rng(0).permutation(n)
+        gt = GroundTruth(n=n, K=gt.K, d=2, labels=gt.labels[perm],
+                         transforms=gt.transforms, sizes=gt.sizes)
+    # p and q at 0 or 1 pin each block's pair set exactly.
+    for p, q in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
+        a = generate_observation(gt, p, q, RandomSource(3))
+        want = np.concatenate([_all_pairs(gt.labels, same)
+                               for same, prob in ((True, p), (False, q)) if prob])
+        want = want[np.lexsort((want[:, 1], want[:, 0]))]
+        assert np.array_equal(a.pairs, want)
+    a = generate_observation(gt, 0.4, 0.1, RandomSource(4))
+    i, j = a.pairs.T
+    assert (i < j).all()
+    assert np.unique(i * n + j).size == a.pair_count
+    same = gt.labels[i] == gt.labels[j]
+    exact = np.matmul(gt.transforms[i], gt.transforms[j].transpose(0, 2, 1))
+    assert np.array_equal(a.data[same], exact[same])
+    assert not np.isclose(a.data[~same], exact[~same]).all(axis=(1, 2)).any()
+
+
+def test_sparse_generation_memory_is_linear_in_stored_blocks():
+    # 4.5e8 pairs: drawing per pair would take gigabytes, while ~4.5k stored
+    # blocks and the O(n) ground truth take a few MiB.
+    params = ModelParams(n=30000, K=2, d=2, p=1e-5, q=1e-5, seed=5)
+    tracemalloc.start()
+    try:
+        _, a = generate_instance(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 3000 < a.pair_count < 6000
+    assert peak < 16 * 2**20
+
+
+def test_dense_noise_over_budget_fails_typed():
+    # d=2 noise blocks take 32 bytes per pair: n=8192 fits in 1 GiB, 8193
+    # does not.
+    ModelParams(n=8192, K=2, d=2, p=0.1, q=0.1, sigma=0.1)
+    with pytest.raises(ValidationError, match="over the 1 GiB budget"):
+        ModelParams(n=8193, K=2, d=2, p=0.1, q=0.1, sigma=0.1)
+    ModelParams(n=20000, K=2, d=2, p=0.1, q=0.1)  # sigma = 0 stays sparse
+    empty = SparseBlockMatrix(20000, 2, np.empty((0, 2), np.int64), np.empty((0, 2, 2)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="over the 1 GiB budget"):
+            add_gaussian_noise(empty, 0.1, RandomSource(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # Operand shapes beyond the matrix rows: () is a 1-D vector.
