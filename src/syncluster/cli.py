@@ -123,7 +123,6 @@ def _cmd_sweep(args):
     else:
         mode, defaults = study  # only sweep requires --config
         spec = SweepSpec(mode=mode, **defaults, **{k: v for k, v in overrides.items() if v is not None})
-        spec.validate()
     if study is not None and spec.mode != study[0]:
         raise ValidationError(f"{args.command} needs a config with mode={study[0]}")
     if spec.mode == "runtime":

@@ -510,7 +510,10 @@ def _parse_flat_file(path, keys):
 
 
 def load_config(path, overrides=None):
-    """Parse a sweep configuration file into a validated SweepSpec.
+    """Parse a sweep configuration file into a SweepSpec.
+
+    The spec is checked when it runs: run_sweep and run_runtime_bench call
+    validate() once, before any trial, and expand the cells only there.
 
     Args:
         path: flat key=value file; '#' starts a comment.
@@ -522,8 +525,7 @@ def load_config(path, overrides=None):
     Raises:
         ParseError: unreadable syntax, unknown or duplicate keys (with the
             line number).
-        ValidationError: parsed values violate an invariant (the message
-            names it).
+        ValidationError: the file has no mode.
         OSError: the file cannot be read.
     """
     entries = _parse_flat_file(path, _SWEEP_KEYS)
@@ -539,7 +541,6 @@ def load_config(path, overrides=None):
         for name, value in overrides.items():
             if value is not None:
                 setattr(spec, name, value)
-    spec.validate()
     return spec
 
 

@@ -7,7 +7,10 @@ Haar-uniform impostor block (across clusters, probability q). An additive
 variant perturbs every pair with Gaussian noise. A small binary container
 format round-trips both structures to disk. The matrix multiplies through
 batched GEMMs over tiles of destination nodes, O(d^2) work per stored block
-and column.
+and column. Tiles hold nodes of similar degree, so they carry almost no
+padding, and a node's blocks or operand rows that lie in one contiguous run
+(as every node's source rows do when every pair is stored) are read in
+place rather than copied.
 
 All randomness is rooted in a single integer seed through named Philox
 streams, each owned by one consumer and read in a fixed order, so a run is
@@ -34,16 +37,18 @@ _STREAM_PRESENCE = 1
 _STREAM_CROSS = 2
 _STREAM_NOISE = 3
 
-# Block elements gathered per matvec tile (8192 padded slots at d=2): large
-# enough that per-tile numpy overhead is small against the arithmetic, small
-# enough that the gathered blocks and operand rows stay cache-sized.
-_MATVEC_TILE_ELEMS = 1 << 15
+# Block elements per matvec tile, each tile serving one direction (4096
+# slots at d=2, nearly all of them real): large enough that per-tile numpy
+# overhead is small against the arithmetic, small enough that gathered
+# blocks and operand rows stay cache-sized. A node wider than this gets a
+# tile of its own.
+_MATVEC_TILE_ELEMS = 1 << 14
 
 # Largest noise-block payload (n(n-1)/2 * d^2 float64s) that sigma > 0 may
-# draw. The noise path peaks at about four times its block data (the noise,
-# the index grid, the pairs and SparseBlockMatrix's sorted copies), so a
-# size over this fails with ValidationError before anything is allocated,
-# not with an out-of-memory kill partway through.
+# draw. The noise path peaks at a few times its block data (the noise, the
+# index grid and the pairs, which SparseBlockMatrix keeps without copying),
+# so a size over this fails with ValidationError before anything is
+# allocated, not with an out-of-memory kill partway through.
 _DENSE_NOISE_BUDGET_BYTES = 1 << 30
 
 _MAGIC = b"JSYN"
@@ -169,18 +174,21 @@ class SparseBlockMatrix:
     """Symmetric n x n matrix of d x d blocks, sparse by block.
 
     Only blocks (i, j) with i < j are stored, as matching rows of pairs and
-    data; block (j, i) is the transpose and diagonal blocks are zero. The
-    backing arrays are marked read-only at construction, so instances are
-    safe to share.
+    data, sorted by (i, j); block (j, i) is the transpose and diagonal
+    blocks are zero. The backing arrays are marked read-only at
+    construction, so instances are safe to share. Input already strictly
+    increasing in (i, j) is not re-sorted; copy=False then keeps the
+    caller's arrays (when C-contiguous and of the right dtype) instead of
+    copying them, for callers that hold no other reference to them.
     """
 
-    def __init__(self, n, d, pairs, data):
+    def __init__(self, n, d, pairs, data, *, copy=True):
         self.n = int(n)
         self.d = int(d)
         if self.n < 1 or self.d < 1:
             raise ValidationError("n and d must be at least 1")
-        pairs = np.asarray(pairs, dtype=np.int64)
-        data = np.asarray(data, dtype=np.float64)
+        pairs = np.ascontiguousarray(pairs, dtype=np.int64)
+        data = np.ascontiguousarray(data, dtype=np.float64)
         if pairs.size % 2:
             raise ValidationError("pairs must hold (i, j) index pairs")
         pairs = pairs.reshape(-1, 2)
@@ -194,10 +202,15 @@ class SparseBlockMatrix:
                 raise ValidationError("pair indices must lie in 0..n-1")
             if (pairs[:, 0] >= pairs[:, 1]).any():
                 raise ValidationError("every stored pair must satisfy i < j")
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        pairs = np.ascontiguousarray(pairs[order])
-        data = np.ascontiguousarray(data[order])
-        if pairs.shape[0] > 1:
+        # Pairs strictly increasing in (i, j) are sorted and distinct already;
+        # anything else is sorted here, and only then can it hold duplicates.
+        step_i = np.diff(pairs[:, 0])
+        if ((step_i > 0) | ((step_i == 0) & (np.diff(pairs[:, 1]) > 0))).all():
+            if copy:
+                pairs, data = pairs.copy(), data.copy()
+        else:
+            order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+            pairs, data = pairs[order], data[order]
             same = (np.diff(pairs[:, 0]) == 0) & (np.diff(pairs[:, 1]) == 0)
             if same.any():
                 raise ValidationError("duplicate block pair")
@@ -216,44 +229,49 @@ class SparseBlockMatrix:
         return self.pairs.shape[0]
 
     def _matvec_tiles(self):
-        # Slots grouped by destination node, in both directions: stored
-        # (i, j) blocks feed i (applied as stored, the pairs being sorted by
-        # i already) and their transposes feed j (through one stable sort
-        # by j). Consecutive destinations are cut into tiles; within a tile
-        # every node gets as many slots per direction as the fullest node,
-        # and padded slots read row n, the zero row appended to the operand.
-        # A tile is [lo, hi, transposed slots, as-stored slots], each slot
-        # set being (width, source nodes, block indices). Building tile by
-        # tile with int32 indices keeps the plan and its temporaries small:
-        # whole-array int64 builds left enough heap behind at n=6400 to
-        # raise the next instance's peak memory by ~9%.
+        # Slots grouped by destination node, one direction at a time: the
+        # transposes of stored (i, j) blocks feed j (through one stable sort
+        # by j), then the blocks as stored feed i (the pairs being sorted by
+        # i already). Per direction, the nodes of nonzero degree are taken in
+        # ascending order of degree (stable) and cut into tiles of at most
+        # the budget in slots; a tile's width is its last node's degree, so
+        # padding is rare. Padded slots read row n, the zero row appended to
+        # the operand. A tile is (transposed, nodes, width, source nodes,
+        # block indices); an index array that is an ascending contiguous run
+        # is stored as a slice, which the matvec reads as a view. Building
+        # tile by tile with int32 indices keeps the plan and its temporaries
+        # small: whole-array int64 builds left enough heap behind at n=6400
+        # to raise the next instance's peak memory by ~9%.
         if self._matvec_cache is None:
             n, m, d = self.n, self.pair_count, self.d
             index_type = np.int32 if max(n, m) < 2**31 else np.int64
             i_arr, j_arr = self.pairs.astype(index_type).T
             jorder = np.argsort(j_arr, kind="stable").astype(index_type)
-            directions = (
-                (np.bincount(j_arr, minlength=n), i_arr[jorder], jorder),
-                (np.bincount(i_arr, minlength=n), j_arr, np.arange(m, dtype=index_type)),
-            )
-            starts = [np.cumsum(deg) - deg for deg, _, _ in directions]
             budget = max(1, _MATVEC_TILE_ELEMS // (d * d))
             tiles = []
-            lo = 0
-            while lo < n:
-                width = sum(np.maximum.accumulate(deg[lo : lo + budget])
-                            for deg, _, _ in directions)
-                cost = width * np.arange(1, width.size + 1)
-                hi = lo + max(1, int(np.searchsorted(cost, budget, side="right")))
-                tile = [lo, hi]
-                for (deg, src, blk), start in zip(directions, starts):
-                    slot = np.arange(int(deg[lo:hi].max()))
-                    live = slot < deg[lo:hi, None]
-                    pos = np.where(live, start[lo:hi, None] + slot, 0)
-                    tile.append((slot.size, np.where(live, src[pos], n).ravel(),
-                                 np.where(live, blk[pos], 0).ravel()))
-                tiles.append(tile)
-                lo = hi
+            for transposed, deg, src, blk in (
+                (True, np.bincount(j_arr, minlength=n), i_arr[jorder], jorder),
+                (False, np.bincount(i_arr, minlength=n), j_arr,
+                 np.arange(m, dtype=index_type)),
+            ):
+                start = np.cumsum(deg) - deg
+                order = np.argsort(deg, kind="stable").astype(index_type)
+                order = order[deg[order] > 0]
+                sorted_deg = deg[order]
+                lo = 0
+                while lo < order.size:
+                    head = sorted_deg[lo : lo + budget]
+                    cost = head * np.arange(1, head.size + 1)
+                    hi = lo + max(1, int(np.searchsorted(cost, budget, side="right")))
+                    nodes = order[lo:hi]
+                    width = int(sorted_deg[hi - 1])
+                    slot = np.arange(width)
+                    live = slot < deg[nodes, None]
+                    pos = np.where(live, start[nodes, None] + slot, 0)
+                    tiles.append((transposed, _as_run(nodes), width,
+                                  _as_run(np.where(live, src[pos], n).ravel()),
+                                  _as_run(np.where(live, blk[pos], 0).ravel())))
+                    lo = hi
             self._matvec_cache = tiles
         return self._matvec_cache
 
@@ -261,11 +279,12 @@ class SparseBlockMatrix:
         """Multiply by a vector or a tall matrix of shape (n*d, ...).
 
         Cost O(d^2 * pair_count) per column. Per tile of destination nodes
-        and per direction, two gathers (blocks and operand rows) feed one
-        batched GEMM whose inner dimension is degree * d, so numpy's
-        per-call overhead is paid once per tile of about 2^15 block
-        elements rather than once per block. The full square matrix is
-        never formed.
+        and per direction, the blocks and operand rows feed one batched
+        GEMM whose inner dimension is degree * d, so numpy's per-call
+        overhead is paid once per tile of about 2^14 block elements rather
+        than once per block. Rows and blocks that sit in one contiguous run
+        are read in place; only scattered ones are gathered, through
+        np.take. The full square matrix is never formed.
         """
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
@@ -278,21 +297,16 @@ class SparseBlockMatrix:
         xb[:n] = x.reshape(n, d, c)
         xb[n] = 0.0
         y = np.zeros((n, d, c))
-        if self.pair_count:
-            for lo, hi, *directions in self._matvec_tiles():
-                for transposed, (width, src, blk) in zip((True, False), directions):
-                    if not width:
-                        continue
-                    # Slot s applies block^T (transposed direction) or
-                    # block; stacking the transposes of those operators
-                    # per node makes each node's (d, width*d) panel a
-                    # transposed view rather than a copy.
-                    blocks = np.take(self.data, blk, axis=0)
-                    if not transposed:
-                        blocks = blocks.transpose(0, 2, 1)
-                    panel = blocks.reshape(hi - lo, width * d, d).transpose(0, 2, 1)
-                    rows = np.take(xb, src, axis=0).reshape(hi - lo, width * d, c)
-                    y[lo:hi] += np.matmul(panel, rows)
+        for transposed, nodes, width, src, blk in self._matvec_tiles():
+            # Slot s applies block^T (transposed direction) or block;
+            # stacking the transposes of those operators per node makes each
+            # node's (d, width*d) panel a transposed view rather than a copy.
+            blocks = _read(self.data, blk)
+            if not transposed:
+                blocks = blocks.transpose(0, 2, 1)
+            panel = blocks.reshape(-1, width * d, d).transpose(0, 2, 1)
+            rows = _read(xb, src).reshape(-1, width * d, c)
+            y[nodes] += np.matmul(panel, rows)
         out = y.reshape(self.nd, c)
         return out[:, 0] if single else out
 
@@ -309,13 +323,9 @@ class SparseBlockMatrix:
             raise ValidationError("nodes out of range")
         lookup = np.full(self.n, -1, dtype=np.int64)
         lookup[nodes] = np.arange(nodes.size)
-        if self.pair_count:
-            mapped = lookup[self.pairs]
-            keep = (mapped >= 0).all(axis=1)
-            return SparseBlockMatrix(nodes.size, self.d, mapped[keep], self.data[keep])
-        return SparseBlockMatrix(
-            nodes.size, self.d, np.empty((0, 2), np.int64), np.empty((0, self.d, self.d))
-        )
+        mapped = lookup[self.pairs]
+        keep = (mapped >= 0).all(axis=1)
+        return SparseBlockMatrix(nodes.size, self.d, mapped[keep], self.data[keep], copy=False)
 
     def to_dense(self):
         """Materialize the full (n*d, n*d) array. Test and oracle use only."""
@@ -325,6 +335,18 @@ class SparseBlockMatrix:
             out[i * d : (i + 1) * d, j * d : (j + 1) * d] = self.data[r]
             out[j * d : (j + 1) * d, i * d : (i + 1) * d] = self.data[r].T
         return out
+
+
+def _as_run(idx):
+    """idx as a slice when it is an ascending contiguous run, else idx."""
+    if idx.size and idx[-1] - idx[0] == idx.size - 1 and (np.diff(idx) == 1).all():
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def _read(arr, idx):
+    """Rows idx of arr: a view for a slice, an np.take gather otherwise."""
+    return arr[idx] if isinstance(idx, slice) else np.take(arr, idx, axis=0)
 
 
 def generate_ground_truth(params, source=None):
@@ -443,7 +465,7 @@ def generate_observation(gt, p, q, source):
     if cross_count:
         z = source.stream(_STREAM_CROSS).standard_normal((cross_count, d, d))
         data[~within] = haar_from_normals(z)
-    return SparseBlockMatrix(n, d, np.column_stack((i_arr, j_arr)), data)
+    return SparseBlockMatrix(n, d, np.column_stack((i_arr, j_arr)), data, copy=False)
 
 
 def generate_instance(params, source=None):
@@ -499,7 +521,7 @@ def add_gaussian_noise(a, sigma, source):
         slots = i0 * (2 * n - i0 - 1) // 2 + (j0 - i0 - 1)
         data[slots] += a.data
     pairs = np.column_stack((i_arr, j_arr))
-    return SparseBlockMatrix(n, d, pairs, data)
+    return SparseBlockMatrix(n, d, pairs, data, copy=False)
 
 
 def _write_header(fh, n, K, d, kind, count):
@@ -555,7 +577,7 @@ def load_matrix(path):
             raise ParseError(f"{path}: truncated block data")
     pairs = np.column_stack((trip["i"].astype(np.int64), trip["j"].astype(np.int64)))
     data = trip["block"].reshape(count, d, d)
-    return SparseBlockMatrix(n, d, pairs, data), K
+    return SparseBlockMatrix(n, d, pairs, data, copy=False), K
 
 
 def save_labeling(path, K, labels, transforms):

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from syncluster import cli
+from syncluster import cli, harness
 from syncluster.cli import main
 from syncluster.harness import CSV_COLUMNS
 from syncluster.model import load_labeling
@@ -60,6 +60,19 @@ def test_sweep_flag_overrides_trials(sweep_conf, tmp_path):
     assert main(["sweep", "--config", str(sweep_conf), "--out", str(out), "--trials", "4"]) == 0
     with open(out, newline="") as fh:
         assert len(list(csv.reader(fh))) == 1 + 4 + 1
+
+
+def test_sweep_expands_its_spec_once(sweep_conf, tmp_path, monkeypatch):
+    calls = []
+    resolve = harness.resolve_cells
+
+    def counting_resolve(spec):
+        calls.append(spec.mode)
+        return resolve(spec)
+
+    monkeypatch.setattr(harness, "resolve_cells", counting_resolve)
+    assert main(["sweep", "--config", str(sweep_conf), "--out", str(tmp_path / "run.csv")]) == 0
+    assert calls == ["grid"]
 
 
 def test_sweep_missing_config_exits_two(tmp_path, capsys):

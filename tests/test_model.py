@@ -242,22 +242,63 @@ def test_dense_noise_over_budget_fails_typed():
 operand_shapes = st.sampled_from(((), (1,), (3,), (25,)))
 
 
-@given(small_models, operand_shapes, st.booleans())
-@example((5, 25, 1, 8, 10, 10), (25,), False)  # every pair stored, d=8, 25 columns
-@example((6, 200, 2, 2, 10, 10), (5,), False)  # 19,900 blocks: several tiles
-@example((7, 60, 3, 2, 1, 0), (3,), False)  # sparse: isolated and one-sided nodes
-@example((8, 30, 2, 3, 6, 2), (), True)  # 1-D operand on a restricted matrix
-def test_matvec_matches_dense_oracle(case, extra, restricted):
-    seed, n, big_k, d, p10, q10 = case
-    gt, a = generate_instance(_params(seed, n, big_k, d, p10, q10))
+def _star(seed, n, d):
+    """Hub n // 3 joined to every other node below 2n/3; the rest isolated.
+
+    The hub is as wide as a node gets in both directions, the leaves have
+    degree 1 in one direction and 0 in the other.
+    """
+    hub = n // 3
+    leaves = np.setdiff1d(np.arange(max(2 * n // 3, hub + 2)), [hub])
+    pairs = np.column_stack((np.minimum(leaves, hub), np.maximum(leaves, hub)))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    if restricted:
+    return SparseBlockMatrix(n, d, pairs, rng.standard_normal((leaves.size, d, d)))
+
+
+@given(small_models, operand_shapes, st.sampled_from(("model", "restricted", "star")))
+@example((5, 25, 1, 8, 10, 10), (25,), "model")  # every pair stored, d=8, 25 columns
+@example((6, 200, 2, 2, 10, 10), (5,), "model")  # 19,900 blocks: several tiles
+@example((7, 60, 3, 2, 1, 0), (3,), "model")  # sparse: isolated and one-sided nodes
+@example((8, 30, 2, 3, 6, 2), (), "restricted")  # 1-D operand on a restricted matrix
+@example((9, 600, 1, 3, 0, 0), (4,), "star")  # one hub of degree 399, 200 isolated nodes
+@example((10, 100, 1, 16, 10, 0), (7,), "model")  # every pair: lone-node runs and batched tiles
+@example((11, 140, 1, 16, 10, 0), (3,), "restricted")  # every pair among 70 kept nodes
+def test_matvec_matches_dense_oracle(case, extra, kind):
+    seed, n, big_k, d, p10, q10 = case
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    if kind == "star":
+        a = _star(seed, n, d)
+    else:
+        gt, a = generate_instance(_params(seed, n, big_k, d, p10, q10))
+    if kind == "restricted":
         a = a.restrict(rng.choice(n, size=max(1, n // 2), replace=False))
     x = rng.standard_normal((a.nd,) + extra)
     want = oracles.dense_matvec(a.to_dense(), x)
     got = a.matvec(x)
     assert got.shape == want.shape
     assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
+
+
+def test_every_pair_matvec_reads_source_runs_in_place():
+    # Stored every pair, each node's source rows form one contiguous run of
+    # the operand, read as a view. One product then allocates the padded
+    # operand and the result (about 2 x.nbytes) and less than the widest
+    # node's (n - 1) * d * c floats of gathered rows on top.
+    n, d, c = 32, 64, 256
+    i, j = np.triu_indices(n, k=1)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(12)))
+    a = SparseBlockMatrix(n, d, np.column_stack((i, j)), rng.standard_normal((i.size, d, d)))
+    x = rng.standard_normal((a.nd, c))
+    a.matvec(x[:, :1])  # builds the plan outside the traced call
+    tracemalloc.start()
+    try:
+        got = a.matvec(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    want = oracles.dense_matvec(a.to_dense(), x)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    assert peak < 2 * x.nbytes + (n - 1) * d * c * 8
 
 
 def test_matvec_single_vector_and_empty_matrix():
@@ -285,6 +326,11 @@ def test_sparse_matrix_validates_pairs():
         SparseBlockMatrix(3, 1, np.array([[1, 0]]), np.zeros((1, 1, 1)))
     with pytest.raises(ValidationError):
         SparseBlockMatrix(3, 1, np.array([[0, 1], [0, 1]]), np.zeros((2, 1, 1)))
+    # Sorted but not strictly increasing, and unsorted: both duplicates fail.
+    with pytest.raises(ValidationError, match="duplicate"):
+        SparseBlockMatrix(4, 1, np.array([[0, 1], [1, 2], [1, 2], [2, 3]]), np.zeros((4, 1, 1)))
+    with pytest.raises(ValidationError, match="duplicate"):
+        SparseBlockMatrix(4, 1, np.array([[1, 2], [0, 1], [1, 2]]), np.zeros((3, 1, 1)))
     with pytest.raises(ValidationError):
         SparseBlockMatrix(3, 1, np.array([[0, 3]]), np.zeros((1, 1, 1)))
     with pytest.raises(ValidationError, match="pairs"):
@@ -297,6 +343,24 @@ def test_sparse_matrix_validates_pairs():
     a = SparseBlockMatrix(3, 2, np.array([0, 1, 1, 2]), np.arange(8.0))
     assert np.array_equal(a.pairs, [[0, 1], [1, 2]])
     assert np.array_equal(a.data, np.arange(8.0).reshape(2, 2, 2))
+    # Unsorted pairs are sorted, their blocks with them.
+    a = SparseBlockMatrix(3, 1, np.array([[1, 2], [0, 2], [0, 1]]), np.arange(3.0))
+    assert np.array_equal(a.pairs, [[0, 1], [0, 2], [1, 2]])
+    assert np.array_equal(a.data.ravel(), [2.0, 1.0, 0.0])
+
+
+def test_sparse_matrix_copies_sorted_input_unless_told_not_to():
+    pairs = np.array([[0, 1], [1, 2]])
+    data = np.ones((2, 2, 2))
+    a = SparseBlockMatrix(3, 2, pairs, data)
+    pairs[0, 1] = 2
+    data[:] = 5.0
+    assert np.array_equal(a.pairs, [[0, 1], [1, 2]])
+    assert (a.data == 1.0).all()
+    assert not a.pairs.flags.writeable and not a.data.flags.writeable
+    b = SparseBlockMatrix(3, 2, pairs, data, copy=False)
+    assert np.shares_memory(b.pairs, pairs) and np.shares_memory(b.data, data)
+    assert not b.pairs.flags.writeable and not b.data.flags.writeable
 
 
 def test_sparse_matrix_rejects_non_finite_blocks():
