@@ -6,9 +6,9 @@ instance to disk), solve (run the pipeline on a serialized instance).
 sweep, bench and snr share one handler; bench and snr only pin the mode
 and supply a default spec when --config is omitted.
 
-Exit codes: 0 on success, 1 on a validation or parse error, 2 on an I/O
-error. Everything chatty goes to stdout as key=value lines so runs are easy
-to grep; errors go to stderr.
+Exit codes: 0 on success, 1 on any library error (bad input, a parse
+failure, no convergence), 2 on an I/O error. Everything chatty goes to
+stdout as key=value lines so runs are easy to grep; errors go to stderr.
 """
 
 import argparse
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .eigensolver import SolverConfig
-from .errors import ParseError, ValidationError
+from .errors import ParseError, SynclusterError, ValidationError
 from .harness import (
     REFINE_CHOICES,
     SweepSpec,
@@ -189,7 +189,7 @@ def main(argv=None):
         return 1
     try:
         return args.handler(args)
-    except (ParseError, ValidationError) as exc:
+    except SynclusterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

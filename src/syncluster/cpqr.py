@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ValidationError
+from .errors import NonFiniteError, ValidationError, as_index
 
 # A pivot column whose R diagonal falls below this absolute value marks
 # the input as rank deficient.
@@ -41,6 +41,12 @@ class BlockCpqrFactors:
     perm: np.ndarray
     d: int
     rank_deficient: bool = False
+
+    def block_row_norms(self):
+        """Frobenius norms of the d x d blocks (k, i) of r, shape (K, n)."""
+        d = self.d
+        sq = (self.r * self.r).reshape(-1, d, self.r.shape[1] // d, d)
+        return np.sqrt(sq.sum(axis=(1, 3)))
 
 
 def apply_block_permutation(m, perm):
@@ -90,6 +96,7 @@ def blockwise_cpqr(x, d):
         ValidationError: shapes incompatible with the block dimension.
     """
     x = np.asarray(x, dtype=np.float64)
+    d = as_index(d, "d")
     if x.ndim != 2:
         raise ValidationError("x must be a 2-d array")
     if d < 1 or x.shape[0] % d or x.shape[1] % d:

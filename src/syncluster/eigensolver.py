@@ -16,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergenceError, ValidationError
-
-# Stream key for the deterministic pseudo-random starting basis.
-_STREAM_SOLVER = 4
+from .errors import NoConvergenceError, ValidationError, as_index
+from .model import _STREAM_SOLVER, RandomSource
 
 # Ritz gap below this multiple of the largest magnitude flags a basis
 # that is defined only up to rotation at the requested cut.
@@ -50,6 +48,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_iterations", "seed"):
+            object.__setattr__(self, name, as_index(getattr(self, name), name))
         if not 0 < self.tolerance < np.inf:
             raise ValidationError("tolerance must be positive and finite")
         if self.max_iterations < 1:
@@ -123,7 +123,7 @@ def top_eigenpairs(a, k, cfg=None):
     if cfg is None:
         cfg = SolverConfig()
     nd = a.nd
-    k = int(k)
+    k = as_index(k, "k")
     if not 1 <= k <= nd:
         raise ValidationError(f"k must lie in 1..{nd}")
     # A block Krylov space resolves at most b directions of any one
@@ -134,9 +134,7 @@ def top_eigenpairs(a, k, cfg=None):
     # Restart before a fourth block; a restart keeps k + b columns, which
     # hold the pair past the cut that the degenerate-gap check reads.
     cap = min(nd, 4 * b)
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(cfg.seed, spawn_key=(_STREAM_SOLVER,)))
-    )
+    rng = RandomSource(cfg.seed).stream(_STREAM_SOLVER)
     # Iterate on A / 2^e, with 2^e the power of two just above the largest
     # stored entry, so huge finite blocks cannot overflow the residual
     # norms. Power-of-two scaling is exact: the iterates are those of any

@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer-argument check.
 
 All errors raised by library code derive from SynclusterError so callers
-can catch one base type at API boundaries. The CLI maps ValidationError
-and ParseError to exit code 1 and I/O problems to exit code 2.
+can catch one base type at API boundaries. The CLI maps every
+SynclusterError to exit code 1 and I/O problems to exit code 2.
 """
+
+import operator
 
 
 class SynclusterError(Exception):
@@ -47,3 +49,16 @@ class NoConvergenceError(SynclusterError):
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
+
+
+def as_index(value, name):
+    """value as a Python int, for an argument that must be an integer.
+
+    Integers of any kind (numpy's included) pass through operator.index;
+    floats, strings and the like raise ValidationError naming the argument
+    rather than being truncated or failing deep inside numpy.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None

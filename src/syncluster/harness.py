@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .cpqr import blockwise_cpqr
 from .eigensolver import SolverConfig, top_eigenpairs
-from .errors import DomainError, ParseError, SynclusterError, ValidationError
+from .errors import DomainError, ParseError, SynclusterError, ValidationError, as_index
 from .metrics import alpha_for_eta, beta_for_eta, eta, exact_recovery, snr_ratio, sync_error
 from .model import ModelParams, RandomSource, generate_instance
 from .recovery import assign_and_extract, refine_clusters, refine_transforms
@@ -102,9 +102,9 @@ class SweepSpec:
         """
         if self.refine not in REFINE_CHOICES:
             raise ValidationError(f"refine must be one of {'/'.join(REFINE_CHOICES)}")
-        if self.trials < 1:
+        if as_index(self.trials, "trials") < 1:
             raise ValidationError("trials must be at least 1")
-        if self.workers < 1:
+        if as_index(self.workers, "workers") < 1:
             raise ValidationError("workers must be at least 1")
         if not 0.0 <= self.fraction <= 1.0:
             raise ValidationError("fraction must lie in [0, 1]")

@@ -8,7 +8,7 @@ constants so tests never restate magic numbers.
 
 import numpy as np
 
-from .errors import NonFiniteError, ValidationError
+from .errors import NonFiniteError, ValidationError, as_index
 
 # Relative Frobenius bound for the orthogonal factor times the PSD factor
 # reconstructing the input.
@@ -76,7 +76,8 @@ def sample_haar_orthogonal(d, rng):
     Returns:
         (d, d) orthogonal array, deterministic given the generator state.
     """
-    if int(d) < 1:
+    d = as_index(d, "d")
+    if d < 1:
         raise ValidationError("d must be at least 1")
-    z = rng.standard_normal((int(d), int(d)))
+    z = rng.standard_normal((d, d))
     return haar_from_normals(z)

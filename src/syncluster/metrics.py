@@ -203,11 +203,9 @@ def snr_ratio(factors, true_labels, d):
     if r.shape[0] != 2 * d:
         raise WrongKError("the ratio is defined for exactly two clusters")
     labels = np.asarray(true_labels, dtype=np.int64)
-    n = r.shape[1] // d
-    if labels.shape != (n,):
+    if labels.shape != (r.shape[1] // d,):
         raise ValidationError("true_labels must have one entry per node")
-    sq = (r * r).reshape(2, d, n, d).sum(axis=(1, 3))
-    norms = np.sqrt(sq)
+    norms = factors.block_row_norms()
     first = labels == 1
     if not first.any():
         raise ValidationError("true_labels must place at least one node in cluster 1")

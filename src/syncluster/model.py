@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ParseError, ValidationError
+from .errors import NonFiniteError, ParseError, ValidationError, as_index
 from .linalg import haar_from_normals
 
 # Named stream keys. Each consumer of randomness owns one key so streams
@@ -36,6 +36,7 @@ _STREAM_TRANSFORMS = 0
 _STREAM_PRESENCE = 1
 _STREAM_CROSS = 2
 _STREAM_NOISE = 3
+_STREAM_SOLVER = 4  # the eigensolver's starting basis
 
 # Block elements per matvec tile, each tile serving one direction (4096
 # slots at d=2, nearly all of them real): large enough that per-tile numpy
@@ -66,18 +67,18 @@ class RandomSource:
     """
 
     def __init__(self, seed):
-        self.seed = int(seed)
+        self.seed = as_index(seed, "seed")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
 
     def stream(self, *key):
         """Return the Philox generator for the given stream key."""
-        ss = np.random.SeedSequence(self.seed, spawn_key=tuple(int(k) for k in key))
+        ss = np.random.SeedSequence(self.seed, spawn_key=tuple(as_index(k, "key") for k in key))
         return np.random.Generator(np.random.Philox(ss))
 
     def subseed(self, *key):
         """Derive a replayable integer seed for a child run."""
-        ss = np.random.SeedSequence(self.seed, spawn_key=tuple(int(k) for k in key))
+        ss = np.random.SeedSequence(self.seed, spawn_key=tuple(as_index(k, "key") for k in key))
         return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -100,6 +101,8 @@ class ModelParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "K", "d", "seed"):
+            object.__setattr__(self, name, as_index(getattr(self, name), name))
         if self.n < 1:
             raise ValidationError("n must be at least 1")
         if self.K < 1:
@@ -121,7 +124,7 @@ class ModelParams:
             sizes = tuple(base + (1 if k < extra else 0) for k in range(self.K))
             object.__setattr__(self, "sizes", sizes)
         else:
-            sizes = tuple(int(s) for s in self.sizes)
+            sizes = tuple(as_index(s, "sizes") for s in self.sizes)
             object.__setattr__(self, "sizes", sizes)
             if len(sizes) != self.K:
                 raise ValidationError("sizes must list exactly K cluster sizes")
@@ -183,14 +186,17 @@ class SparseBlockMatrix:
     """
 
     def __init__(self, n, d, pairs, data, *, copy=True):
-        self.n = int(n)
-        self.d = int(d)
+        self.n = as_index(n, "n")
+        self.d = as_index(d, "d")
         if self.n < 1 or self.d < 1:
             raise ValidationError("n and d must be at least 1")
-        pairs = np.ascontiguousarray(pairs, dtype=np.int64)
+        given = np.asarray(pairs)
+        pairs = np.ascontiguousarray(given, dtype=np.int64)
         data = np.ascontiguousarray(data, dtype=np.float64)
-        if pairs.size % 2:
+        if pairs.size % 2 or (pairs.ndim > 1 and pairs.shape[-1] != 2):
             raise ValidationError("pairs must hold (i, j) index pairs")
+        if given.dtype.kind not in "iu" and not np.array_equal(pairs, given):
+            raise ValidationError("pair indices must be integers")
         pairs = pairs.reshape(-1, 2)
         if data.size != pairs.shape[0] * self.d * self.d:
             raise ValidationError("data must hold one d x d block per pair")
@@ -290,8 +296,8 @@ class SparseBlockMatrix:
         single = x.ndim == 1
         if single:
             x = x[:, None]
-        if x.shape[0] != self.nd:
-            raise ValidationError(f"operand must have {self.nd} rows")
+        if x.ndim != 2 or x.shape[0] != self.nd:
+            raise ValidationError(f"operand must be a vector or matrix with {self.nd} rows")
         n, d, c = self.n, self.d, x.shape[1]
         xb = np.empty((n + 1, d, c))
         xb[:n] = x.reshape(n, d, c)

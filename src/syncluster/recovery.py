@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .eigensolver import top_eigenpairs
-from .errors import ValidationError
+from .errors import ValidationError, as_index
 from .linalg import polar_decompose
 
 # Block columns with total norm below this are treated as all-zero: the
@@ -48,13 +48,6 @@ class RecoveryResult:
         return np.flatnonzero(self.labels == k)
 
 
-def _block_row_norms(r, big_k, d):
-    """Frobenius norms of the (k, i) blocks of r, shape (K, n)."""
-    n = r.shape[1] // d
-    sq = (r * r).reshape(big_k, d, n, d)
-    return np.sqrt(sq.sum(axis=(1, 3)))
-
-
 def assign_and_extract(factors, big_k, d):
     """Read labels, transforms, and confidences off the R factor.
 
@@ -72,12 +65,13 @@ def assign_and_extract(factors, big_k, d):
         RecoveryResult.
     """
     r = factors.r
+    big_k, d = as_index(big_k, "big_k"), as_index(d, "d")
     if d != factors.d:
         raise ValidationError("d disagrees with the factorization's block size")
     if r.shape[0] != big_k * d:
         raise ValidationError("big_k disagrees with the R factor's block rows")
     n = r.shape[1] // d
-    norms = _block_row_norms(r, big_k, d)
+    norms = factors.block_row_norms()
     totals = np.sqrt((norms * norms).sum(axis=0))
     labels = np.argmax(norms, axis=0) + 1
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -168,23 +162,19 @@ def connectivity_check(a, nodes):
         (connected, components): components labels each entry of
         sorted(nodes) with its component id, 0-based, in first-seen order.
     """
-    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-    if nodes.size == 0:
-        raise ValidationError("nodes must be non-empty")
-    if nodes.min() < 0 or nodes.max() >= a.n:
-        raise ValidationError("nodes out of range")
-    lookup = np.full(a.n, -1, dtype=np.int64)
-    lookup[nodes] = np.arange(nodes.size)
+    return _components(a.restrict(nodes))
 
+
+def _components(a):
+    """(connected, components) of the observed-block graph of all of a."""
     # Label propagation over trees: every root hooks to the smallest root
     # it shares an edge with, then pointers jump until each node points at
     # its root. Hooks always go to a smaller index, so a root is the
     # smallest node of its tree, and within two rounds every tree with an
     # outside edge merges, so the rounds are logarithmic in the node count.
-    parent = np.arange(nodes.size)
+    parent = np.arange(a.n)
     if a.pair_count:
-        mapped = lookup[a.pairs]
-        u, v = mapped[(mapped >= 0).all(axis=1)].T
+        u, v = a.pairs.T
         while u.size:
             ru, rv = parent[u], parent[v]
             cross = ru != rv
@@ -234,11 +224,16 @@ def refine_transforms(a, result, cfg=None):
             if FLAG_EMPTY_CLUSTER not in flags:
                 flags = flags + (FLAG_EMPTY_CLUSTER,)
             continue
-        connected, components = connectivity_check(a, nodes)
+        cluster = a.restrict(nodes)
+        connected, components = _components(cluster)
         if not connected and FLAG_DISCONNECTED_CLUSTER not in flags:
             flags = flags + (FLAG_DISCONNECTED_CLUSTER,)
         for c in range(int(components.max()) + 1):
-            comp_nodes = nodes[components == c]
-            blocks = top_eigenpairs(a.restrict(comp_nodes), d, cfg).vectors.reshape(-1, d, d)
-            transforms[comp_nodes] = polar_decompose(blocks)
+            local = np.flatnonzero(components == c)
+            part = cluster if connected else cluster.restrict(local)
+            blocks = top_eigenpairs(part, d, cfg).vectors.reshape(-1, d, d)
+            transforms[nodes[local]] = polar_decompose(blocks)
+        # Free this cluster's matrix and matvec plan before the next
+        # restrict, so two clusters' copies never coexist at peak memory.
+        del cluster, part
     return replace(result, transforms=transforms, flags=flags)

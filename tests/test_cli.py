@@ -1,12 +1,15 @@
 """End-to-end CLI behavior through main(argv): exit codes, files, output."""
 
 import csv
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from syncluster import cli, harness
 from syncluster.cli import main
+from syncluster.errors import NoConvergenceError
 from syncluster.harness import CSV_COLUMNS
 from syncluster.model import load_labeling
 
@@ -150,6 +153,19 @@ def test_generate_rejects_non_finite_sigma(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_no_convergence_exits_one(model_conf, tmp_path, capsys, monkeypatch):
+    matrix = tmp_path / "instance.bin"
+    main(["generate", "--config", str(model_conf), "--out", str(matrix)])
+    capsys.readouterr()
+
+    def stalled(a, k, cfg=None):
+        raise NoConvergenceError("no convergence after 1 iterations")
+
+    monkeypatch.setattr(harness, "top_eigenpairs", stalled)
+    assert main(["solve", str(matrix)]) == 1
+    assert capsys.readouterr().err == "error: no convergence after 1 iterations\n"
+
+
 def test_solve_missing_file_exits_two(tmp_path):
     assert main(["solve", str(tmp_path / "ghost.bin")]) == 2
 
@@ -237,3 +253,28 @@ def test_bench_and_snr_build_default_specs_without_config(monkeypatch, tmp_path,
     assert (snr.mode, snr.n, snr.K, snr.d_values, snr.p, snr.q, snr.seed, snr.trials) == (
         "snr", 400, 2, (2, 10, 20), 0.5, 0.5, 6, 3
     )
+
+
+def _science_rows(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return [{k: v for k, v in row.items() if not k.startswith("t_")} for row in rows]
+
+
+def test_study_runner_matches_a_direct_sweep(tmp_path, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_all_studies.py"
+    spec = importlib.util.spec_from_file_location("run_all_studies", path)
+    runner = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(runner)
+    out_dir = tmp_path / "results"
+    assert runner.main(["--only", "eta_threshold", "--trials", "1", "--out-dir", str(out_dir)]) == 0
+    assert "study=eta_threshold" in capsys.readouterr().out
+    written = out_dir / "eta_threshold.csv"
+    assert (out_dir / "eta_threshold.csv.manifest.json").exists()
+
+    direct = tmp_path / "direct.csv"
+    config = runner.CONFIG_DIR / "eta_threshold.conf"
+    assert main(["sweep", "--config", str(config), "--trials", "1", "--out", str(direct)]) == 0
+    rows = _science_rows(written)
+    assert len(rows) == 10 + 10  # one trial and one mean row per eta target
+    assert rows == _science_rows(direct)

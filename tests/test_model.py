@@ -310,6 +310,13 @@ def test_matvec_single_vector_and_empty_matrix():
     assert y.shape == (12,)
 
 
+def test_matvec_rejects_operands_of_the_wrong_shape():
+    _, a = generate_instance(ModelParams(n=40, K=2, d=2, p=0.5, q=0.1, seed=0))
+    for shape in ((80, 2, 2), (79,), (81, 3)):
+        with pytest.raises(ValidationError, match="operand"):
+            a.matvec(np.ones(shape))
+
+
 @given(small_models)
 def test_restrict_matches_dense_submatrix(case):
     seed, n, big_k, d, p10, q10 = case
@@ -339,10 +346,16 @@ def test_sparse_matrix_validates_pairs():
         SparseBlockMatrix(3, 2, np.array([[0, 1]]), np.zeros(5))
     with pytest.raises(ValidationError, match="data"):
         SparseBlockMatrix(3, 2, np.array([[0, 1], [1, 2]]), np.zeros((1, 2, 2)))
-    # Flat arrays of the right sizes are accepted.
+    # Rows that are not pairs, and indices that are not integers.
+    with pytest.raises(ValidationError, match="pairs"):
+        SparseBlockMatrix(6, 1, np.array([[0, 1, 2], [3, 4, 5]]), np.zeros(3))
+    with pytest.raises(ValidationError, match="integers"):
+        SparseBlockMatrix(3, 1, np.array([[0.5, 1.7]]), np.zeros(1))
+    # Flat arrays of the right sizes, and integral floats, are accepted.
     a = SparseBlockMatrix(3, 2, np.array([0, 1, 1, 2]), np.arange(8.0))
     assert np.array_equal(a.pairs, [[0, 1], [1, 2]])
     assert np.array_equal(a.data, np.arange(8.0).reshape(2, 2, 2))
+    assert np.array_equal(SparseBlockMatrix(3, 1, [[0.0, 2.0]], np.ones(1)).pairs, [[0, 2]])
     # Unsorted pairs are sorted, their blocks with them.
     a = SparseBlockMatrix(3, 1, np.array([[1, 2], [0, 2], [0, 1]]), np.arange(3.0))
     assert np.array_equal(a.pairs, [[0, 1], [0, 2], [1, 2]])

@@ -329,6 +329,37 @@ def test_refine_transforms_handles_disconnection_per_component():
         assert err <= 1e-7
 
 
+def test_refine_transforms_maps_interleaved_components_back_to_their_nodes():
+    # Cluster 1 holds two interleaved cliques, {1, 4, 7, 10} and
+    # {2, 5, 8, 11}, and the isolated node 9; cluster 2 is the clique
+    # {0, 3, 6}. Each component's transforms equal a solve restricted to
+    # exactly its own nodes of the full matrix.
+    d = 2
+    rng = _gen(22)
+    from syncluster.linalg import polar_decompose, sample_haar_orthogonal
+
+    transforms = np.stack([sample_haar_orthogonal(d, rng) for _ in range(12)])
+    cliques = (np.array([1, 4, 7, 10]), np.array([2, 5, 8, 11]), np.array([0, 3, 6]))
+    pairs = sorted((int(i), int(j)) for c in cliques for i in c for j in c if i < j)
+    data = np.stack([transforms[i] @ transforms[j].T for i, j in pairs])
+    a = SparseBlockMatrix(n=12, d=d, pairs=np.array(pairs), data=data)
+    labels = np.ones(12, dtype=np.int64)
+    labels[cliques[2]] = 2
+    seed_result = RecoveryResult(
+        labels=labels,
+        transforms=np.stack([np.eye(d)] * 12),
+        confidence=np.ones(12),
+        cluster_count=2,
+    )
+    refined = refine_transforms(a, seed_result)
+    assert FLAG_DISCONNECTED_CLUSTER in refined.flags
+    for nodes in cliques + (np.array([9]),):
+        blocks = top_eigenpairs(a.restrict(nodes), d).vectors.reshape(-1, d, d)
+        assert np.array_equal(refined.transforms[nodes], polar_decompose(blocks))
+    for nodes in cliques:
+        assert oracles.gauge_align_error(transforms[nodes], refined.transforms[nodes]) <= 1e-7
+
+
 def test_refine_transforms_flags_empty_cluster_and_keeps_rest():
     gt, a, factors, result = _clean_recovery(20, 2, 2, seed=4)
     widened = RecoveryResult(
