@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
     WrongKError,
 )
-from .linalg import polar_decompose, sample_haar_orthogonal
+from .linalg import polar_decompose
 from .metrics import (
     alpha_for_eta,
     beta_for_eta,
@@ -87,7 +87,6 @@ __all__ = [
     "polar_decompose",
     "refine_clusters",
     "refine_transforms",
-    "sample_haar_orthogonal",
     "save_ground_truth",
     "save_labeling",
     "save_matrix",

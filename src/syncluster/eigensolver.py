@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergenceError, ValidationError, as_index
+from .errors import NoConvergenceError, ValidationError, as_index, as_real
 from .model import _STREAM_SOLVER, RandomSource
 
 # Ritz gap below this multiple of the largest magnitude flags a basis
@@ -50,7 +50,7 @@ class SolverConfig:
     def __post_init__(self):
         for name in ("max_iterations", "seed"):
             object.__setattr__(self, name, as_index(getattr(self, name), name))
-        if not 0 < self.tolerance < np.inf:
+        if not 0 < as_real(self.tolerance, "tolerance") < np.inf:
             raise ValidationError("tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be at least 1")

@@ -1,10 +1,11 @@
-"""Exception types shared across the package, and the integer-argument check.
+"""Exception types shared across the package, and the argument type checks.
 
 All errors raised by library code derive from SynclusterError so callers
 can catch one base type at API boundaries. The CLI maps every
 SynclusterError to exit code 1 and I/O problems to exit code 2.
 """
 
+import numbers
 import operator
 
 
@@ -62,3 +63,15 @@ def as_index(value, name):
         return operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def as_real(value, name):
+    """value unchanged, for an argument that must be a real number.
+
+    Any numbers.Real passes (numpy's floats and integers included); strings,
+    None and the like raise ValidationError naming the argument rather than
+    a TypeError from a comparison deep inside the library.
+    """
+    if isinstance(value, numbers.Real):
+        return value
+    raise ValidationError(f"{name} must be a real number, got {value!r}")

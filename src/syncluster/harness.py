@@ -2,14 +2,16 @@
 
 Every experiment is one path. `resolve_cells` turns a SweepSpec into its
 ordered list of cells (parameter points) and is the only place that knows
-what each mode needs; every trial of a cell gets a seeded instance and
-solver settings from one helper and runs through `run_pipeline`. A sweep
-runs `trials` trials per cell and writes one CSV row per trial plus one
-mean row per cell; the runtime bench runs the same trials and writes
-per-phase medians and fitted log-log slopes. Every trial derives a private
-integer sub-seed from (master seed, cell index, trial index), so results
-are bit-reproducible and independent of worker count and scheduling.
-Per-trial failures are recorded as flagged rows and never abort the sweep.
+what each mode needs; `_run_trial` is the one place that generates a
+seeded instance and runs it through `run_pipeline`. A sweep runs `trials`
+trials per cell and writes one CSV row per trial plus one mean row per
+cell; the runtime bench is one sweep with a warm-up plus _BENCH_REPS
+trials per cell, reduced to per-phase medians and fitted log-log slopes.
+Every trial derives a private integer sub-seed from (master seed, cell
+index, trial index), so results are bit-reproducible and independent of
+worker count and scheduling. Per-trial failures are recorded as flagged
+rows and never abort the sweep; the bench raises on them, since a failed
+trial has no timings.
 
 Science columns are deterministic given (config, seed); wall-clock timing
 columns are not, so the zero_timings switch exists to blank them when
@@ -28,7 +30,7 @@ import numpy as np
 from . import __version__
 from .cpqr import blockwise_cpqr
 from .eigensolver import SolverConfig, top_eigenpairs
-from .errors import DomainError, ParseError, SynclusterError, ValidationError, as_index
+from .errors import DomainError, ParseError, SynclusterError, ValidationError, as_index, as_real
 from .metrics import alpha_for_eta, beta_for_eta, eta, exact_recovery, snr_ratio, sync_error
 from .model import ModelParams, RandomSource, generate_instance
 from .recovery import assign_and_extract, refine_clusters, refine_transforms
@@ -49,6 +51,7 @@ CSV_SCHEMA_VERSION = 1
 
 BENCH_COLUMNS = ("n", "phase", "ms")
 _BENCH_REPS = 5
+_TIMING_NOTE = "monotonic clock, per-phase wall time"
 
 # Default within/cross density multiplier for the runtime bench protocol,
 # p = q = BENCH_DENSITY * log(n) / n.
@@ -94,8 +97,9 @@ class SweepSpec:
     def validate(self):
         """Check the run settings, then resolve the cells and return them.
 
-        Building the SolverConfig checks the solver settings, and each
-        cell's ModelParams checks its model settings, before any trial.
+        Every real-valued setting must be a real number. Building the
+        SolverConfig checks the solver settings, and each cell's
+        ModelParams checks its model settings, before any trial.
 
         Returns:
             The resolve_cells list, so a run expands the spec only once.
@@ -106,6 +110,12 @@ class SweepSpec:
             raise ValidationError("trials must be at least 1")
         if as_index(self.workers, "workers") < 1:
             raise ValidationError("workers must be at least 1")
+        for name in ("fraction", "p", "q", "sigma", "solver_tolerance"):
+            if getattr(self, name) is not None:
+                as_real(getattr(self, name), name)
+        for name in ("alpha", "beta", "eta_values", "sigma_values"):
+            for value in getattr(self, name):
+                as_real(value, name)
         if not 0.0 <= self.fraction <= 1.0:
             raise ValidationError("fraction must lie in [0, 1]")
         _solver_config(self, seed=0)
@@ -254,23 +264,14 @@ def _solver_config(spec, seed):
     )
 
 
-def _trial_inputs(cell, spec, subseed):
-    """The seeded instance and solver settings of one trial of a cell.
-
-    Returns:
-        (gt, a, cfg): ground truth, observed matrix and SolverConfig.
-    """
-    gt, a = generate_instance(replace(cell["params"], seed=subseed))
-    return gt, a, _solver_config(spec, subseed)
-
-
 def _run_trial(task):
     """One (cell, trial): generate, run, evaluate. Returns a value dict."""
     cell, trial, subseed, spec = task
     values = dict(cell, trial=trial, subseed=subseed, exact=None, sync_error_log=None,
                   snr_min=None, flags=[])
     values.update(dict.fromkeys(_TIMING_COLUMNS, 0.0))
-    gt, a, cfg = _trial_inputs(cell, spec, subseed)
+    gt, a = generate_instance(replace(cell["params"], seed=subseed))
+    cfg = _solver_config(spec, subseed)
     # A library failure in solving or scoring becomes a row flagged with the
     # error's name (NoConvergenceError -> NoConvergence), never an abort;
     # generation stays outside so a bad config still fails fast.
@@ -364,8 +365,7 @@ def _write_csv(out_path, spec, columns, rows, extra):
         "csv_schema_version": CSV_SCHEMA_VERSION,
         "csv_columns": list(columns),
         "spec": asdict(spec),
-        "timing": "monotonic clock, per-phase wall time; bench rows are the "
-                  f"median of {_BENCH_REPS} repetitions after one discarded warm-up",
+        "timing": _TIMING_NOTE,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "log_convention": "natural log; exact matches floored at -746",
         **extra,
@@ -387,30 +387,38 @@ def fit_loglog_slope(ns, ts):
 def run_runtime_bench(spec, out_path=None):
     """Median-of-reps phase timings across n, plus fitted log-log slopes.
 
-    Per n: one discarded warm-up, then _BENCH_REPS repetitions of the full
-    pipeline on freshly generated instances; per-phase medians are
-    reported. Slopes are fitted for the pipeline excluding the eigensolve
-    and for the total.
+    The given spec is validated as is, then run as one sweep pinned to a
+    discarded warm-up plus _BENCH_REPS repetitions per n in one process;
+    per-phase medians over the repetitions are reported. Slopes are fitted
+    for the pipeline excluding the eigensolve and for the total. The
+    manifest records the pinned spec, i.e. the repetitions that ran.
 
     Returns:
         (rows, slopes): rows are (n, phase, ms) tuples; slopes maps
         "excl_eigen" and "total" to fitted exponents.
+
+    Raises:
+        ValidationError: the spec is invalid or not mode=runtime.
+        SynclusterError: a trial's pipeline raised; its row has no timings.
     """
     cells = spec.validate()
     if spec.mode != "runtime":
         raise ValidationError("run_runtime_bench needs mode=runtime")
-    master = RandomSource(spec.seed)
+    pinned = replace(spec, trials=_BENCH_REPS + 1, workers=1)
+    results, _ = run_sweep(pinned)
     rows, medians = [], []
     for ci, cell in enumerate(cells):
         samples = []
-        for rep in range(_BENCH_REPS + 1):
-            _, a, cfg = _trial_inputs(cell, spec, master.subseed(ci, rep))
-            _, _, timings, _ = run_pipeline(
-                a, cell["K"], cell["d"], cfg, spec.refine, spec.fraction
-            )
-            phases = [timings[col] for col in _TIMING_COLUMNS]
+        for values in results[ci * pinned.trials : (ci + 1) * pinned.trials]:
+            # Only a trial whose pipeline raised goes unscored (see _run_trial).
+            if values["sync_error_log"] is None:
+                raise SynclusterError(
+                    f"runtime bench trial {values['trial']} at n={cell['n']} "
+                    f"failed: {';'.join(values['flags'])}"
+                )
+            phases = [values[col] for col in _TIMING_COLUMNS]
             samples.append(phases + [sum(phases[1:]), sum(phases)])
-        # Repetition 0 is the discarded warm-up.
+        # Trial 0 is the discarded warm-up.
         medians.append(dict(zip(_BENCH_PHASES, np.median(samples[1:], axis=0).tolist())))
         rows.extend((cell["n"], phase, ms) for phase, ms in medians[-1].items())
     slopes = {
@@ -419,7 +427,9 @@ def run_runtime_bench(spec, out_path=None):
     }
     if out_path is not None:
         csv_rows = [(n, phase, f"{ms:.3f}") for n, phase, ms in rows]
-        _write_csv(out_path, spec, BENCH_COLUMNS, csv_rows, {"slopes": slopes})
+        timing = (f"{_TIMING_NOTE}; bench rows are the median of {_BENCH_REPS} "
+                  "repetitions after one discarded warm-up")
+        _write_csv(out_path, pinned, BENCH_COLUMNS, csv_rows, {"slopes": slopes, "timing": timing})
     return rows, slopes
 
 
@@ -512,8 +522,8 @@ def _parse_flat_file(path, keys):
 def load_config(path, overrides=None):
     """Parse a sweep configuration file into a SweepSpec.
 
-    The spec is checked when it runs: run_sweep and run_runtime_bench call
-    validate() once, before any trial, and expand the cells only there.
+    The spec is checked when it runs: validate() runs before any trial and
+    expands the cells only there.
 
     Args:
         path: flat key=value file; '#' starts a comment.

@@ -1,14 +1,14 @@
 """Dense small-matrix kernels shared by every other module.
 
-Polar decomposition and Haar-orthogonal sampling, all on plain float64
-ndarrays. Functions are pure: randomness comes in as an explicit generator
-and nothing mutates its inputs. Verification tolerances are module
-constants so tests never restate magic numbers.
+Polar decomposition and the Haar map of normal draws, all on plain
+float64 ndarrays. Functions are pure: randomness comes in as the caller's
+normal draws and nothing mutates its inputs. Verification tolerances are
+module constants so tests never restate magic numbers.
 """
 
 import numpy as np
 
-from .errors import NonFiniteError, ValidationError, as_index
+from .errors import NonFiniteError, ValidationError
 
 # Relative Frobenius bound for the orthogonal factor times the PSD factor
 # reconstructing the input.
@@ -64,20 +64,3 @@ def haar_from_normals(z):
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     signs = np.where(diag < 0, -1.0, 1.0)
     return q * signs[..., None, :]
-
-
-def sample_haar_orthogonal(d, rng):
-    """Draw one Haar-distributed d x d orthogonal matrix.
-
-    Args:
-        d: matrix dimension, at least 1.
-        rng: numpy Generator supplying the normal draws.
-
-    Returns:
-        (d, d) orthogonal array, deterministic given the generator state.
-    """
-    d = as_index(d, "d")
-    if d < 1:
-        raise ValidationError("d must be at least 1")
-    z = rng.standard_normal((d, d))
-    return haar_from_normals(z)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ParseError, ValidationError, as_index
+from .errors import NonFiniteError, ParseError, ValidationError, as_index, as_real
 from .linalg import haar_from_normals
 
 # Named stream keys. Each consumer of randomness owns one key so streams
@@ -109,11 +109,11 @@ class ModelParams:
             raise ValidationError("K must be at least 1")
         if self.d < 1:
             raise ValidationError("d must be at least 1")
-        if not 0.0 <= self.p <= 1.0:
+        if not 0.0 <= as_real(self.p, "p") <= 1.0:
             raise ValidationError("p must lie in [0, 1]")
-        if not 0.0 <= self.q <= 1.0:
+        if not 0.0 <= as_real(self.q, "q") <= 1.0:
             raise ValidationError("q must lie in [0, 1]")
-        if not 0.0 <= self.sigma < np.inf:
+        if not 0.0 <= as_real(self.sigma, "sigma") < np.inf:
             raise ValidationError("sigma must be finite and non-negative")
         if self.sigma > 0:
             _check_dense_noise_budget(self.n, self.d)
@@ -332,15 +332,6 @@ class SparseBlockMatrix:
         mapped = lookup[self.pairs]
         keep = (mapped >= 0).all(axis=1)
         return SparseBlockMatrix(nodes.size, self.d, mapped[keep], self.data[keep], copy=False)
-
-    def to_dense(self):
-        """Materialize the full (n*d, n*d) array. Test and oracle use only."""
-        out = np.zeros((self.nd, self.nd))
-        d = self.d
-        for r, (i, j) in enumerate(self.pairs):
-            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = self.data[r]
-            out[j * d : (j + 1) * d, i * d : (i + 1) * d] = self.data[r].T
-        return out
 
 
 def _as_run(idx):

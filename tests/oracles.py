@@ -229,6 +229,16 @@ def clean_spectrum(sizes, d):
     return np.sort(np.array(vals))[::-1]
 
 
+def dense(a):
+    """The full (n*d, n*d) array of a SparseBlockMatrix."""
+    out = np.zeros((a.nd, a.nd))
+    d = a.d
+    for r, (i, j) in enumerate(a.pairs):
+        out[i * d : (i + 1) * d, j * d : (j + 1) * d] = a.data[r]
+        out[j * d : (j + 1) * d, i * d : (i + 1) * d] = a.data[r].T
+    return out
+
+
 def dense_matvec(dense, x):
     return dense @ x
 

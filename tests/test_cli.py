@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -153,15 +154,15 @@ def test_generate_rejects_non_finite_sigma(tmp_path, capsys):
     assert not out.exists()
 
 
+def _stalled(a, k, cfg=None):
+    raise NoConvergenceError("no convergence after 1 iterations")
+
+
 def test_solve_no_convergence_exits_one(model_conf, tmp_path, capsys, monkeypatch):
     matrix = tmp_path / "instance.bin"
     main(["generate", "--config", str(model_conf), "--out", str(matrix)])
     capsys.readouterr()
-
-    def stalled(a, k, cfg=None):
-        raise NoConvergenceError("no convergence after 1 iterations")
-
-    monkeypatch.setattr(harness, "top_eigenpairs", stalled)
+    monkeypatch.setattr(harness, "top_eigenpairs", _stalled)
     assert main(["solve", str(matrix)]) == 1
     assert capsys.readouterr().err == "error: no convergence after 1 iterations\n"
 
@@ -219,6 +220,16 @@ def test_bench_subcommand_with_config(tmp_path, capsys):
     assert main(["bench", "--config", str(wrong), "--out", str(out)]) == 1
 
 
+def test_bench_failed_trial_exits_one(tmp_path, capsys, monkeypatch):
+    conf = tmp_path / "bench.conf"
+    conf.write_text("mode = runtime\nK = 2\nd = 1\nn_list = 48,96\n")
+    monkeypatch.setattr(harness, "top_eigenpairs", _stalled)
+    assert main(["bench", "--config", str(conf), "--out", str(tmp_path / "bench.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: runtime bench trial 0 at n=48 failed: NoConvergence\n"
+    )
+
+
 def test_sweep_routes_runtime_configs_to_bench(tmp_path, capsys):
     conf = tmp_path / "bench.conf"
     conf.write_text("mode = runtime\nK = 2\nd = 1\nn_list = 48,96\n")
@@ -261,11 +272,16 @@ def _science_rows(path):
     return [{k: v for k, v in row.items() if not k.startswith("t_")} for row in rows]
 
 
-def test_study_runner_matches_a_direct_sweep(tmp_path, capsys):
+def _study_runner():
     path = Path(__file__).resolve().parent.parent / "scripts" / "run_all_studies.py"
     spec = importlib.util.spec_from_file_location("run_all_studies", path)
     runner = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(runner)
+    return runner
+
+
+def test_study_runner_matches_a_direct_sweep(tmp_path, capsys):
+    runner = _study_runner()
     out_dir = tmp_path / "results"
     assert runner.main(["--only", "eta_threshold", "--trials", "1", "--out-dir", str(out_dir)]) == 0
     assert "study=eta_threshold" in capsys.readouterr().out
@@ -278,3 +294,14 @@ def test_study_runner_matches_a_direct_sweep(tmp_path, capsys):
     rows = _science_rows(written)
     assert len(rows) == 10 + 10  # one trial and one mean row per eta target
     assert rows == _science_rows(direct)
+
+
+def test_study_runner_records_the_bench_repetitions_that_ran(tmp_path):
+    # The bench runs a fixed warm-up plus repetitions in one process, so
+    # --trials and --workers do not apply; the manifest says what ran.
+    out_dir = tmp_path / "results"
+    argv = ["--only", "runtime_bench", "--trials", "1", "--workers", "3", "--out-dir", str(out_dir)]
+    assert _study_runner().main(argv) == 0
+    manifest = json.loads((out_dir / "runtime_bench.csv.manifest.json").read_text())
+    assert manifest["spec"]["trials"] == harness._BENCH_REPS + 1
+    assert manifest["spec"]["workers"] == 1

@@ -1,4 +1,4 @@
-"""Typed errors at the boundaries: integer arguments are checked, never truncated."""
+"""Typed errors at the boundaries: integer and real arguments are checked, never truncated."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from syncluster.cpqr import blockwise_cpqr
 from syncluster.eigensolver import SolverConfig, top_eigenpairs
 from syncluster.errors import ValidationError
 from syncluster.harness import SweepSpec, run_sweep
-from syncluster.linalg import sample_haar_orthogonal
 from syncluster.model import ModelParams, RandomSource, generate_instance
 from syncluster.recovery import assign_and_extract
 
@@ -17,7 +16,8 @@ def _instance():
 
 
 def _spec(**kw):
-    return SweepSpec(mode="grid", n=32, K=2, d=1, alpha=(8.0,), beta=(0.5,), **kw)
+    base = dict(mode="grid", n=32, K=2, d=1, alpha=(8.0,), beta=(0.5,))
+    return SweepSpec(**{**base, **kw})
 
 
 def _factors():
@@ -34,8 +34,27 @@ def _factors():
     ("seed", lambda: RandomSource(1.5)),
     ("key", lambda: RandomSource(1).stream(1.5)),
     ("k", lambda: top_eigenpairs(_instance(), 2.7)),
-    ("d", lambda: sample_haar_orthogonal(2.5, np.random.default_rng(0))),
 ])
 def test_non_integer_arguments_fail_typed_and_named(name, call):
     with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("name, call", [
+    ("p", lambda: ModelParams(n=10, K=2, d=2, p="0.5", q=0.1)),
+    ("q", lambda: ModelParams(n=10, K=2, d=2, p=0.5, q=None)),
+    ("sigma", lambda: ModelParams(n=10, K=2, d=2, p=0.5, q=0.1, sigma="0.3")),
+    ("tolerance", lambda: SolverConfig(tolerance="1e-8")),
+    ("fraction", lambda: _spec(fraction="0.1").validate()),
+    ("p", lambda: SweepSpec(mode="snr", n=32, d_values=(1,), p="0.5").validate()),
+    ("q", lambda: SweepSpec(mode="snr", n=32, d_values=(1,), q=[0.5]).validate()),
+    ("sigma", lambda: _spec(sigma="0.3").validate()),
+    ("solver_tolerance", lambda: _spec(solver_tolerance="1e-8").validate()),
+    ("alpha", lambda: _spec(alpha=(8.0, "9")).validate()),
+    ("beta", lambda: _spec(beta=("0.5",)).validate()),
+    ("eta_values", lambda: _spec(mode="eta-sweep", eta_values=("0.4",)).validate()),
+    ("sigma_values", lambda: _spec(sigma_values=(0.0, "0.1")).validate()),
+])
+def test_non_real_settings_fail_typed_and_named(name, call):
+    with pytest.raises(ValidationError, match=f"^{name} must be a real number"):
         call()

@@ -17,11 +17,18 @@ import pytest
 import oracles
 import syncluster
 from syncluster import harness
-from syncluster.errors import NonFiniteError, ParseError, ValidationError
+from syncluster.errors import (
+    NoConvergenceError,
+    NonFiniteError,
+    ParseError,
+    SynclusterError,
+    ValidationError,
+)
 from syncluster.harness import (
     BENCH_COLUMNS,
     CSV_COLUMNS,
     CSV_SCHEMA_VERSION,
+    FLAG_DEGENERATE_GAP,
     FLAG_NO_CONVERGENCE,
     SweepSpec,
     fit_loglog_slope,
@@ -320,7 +327,8 @@ def test_manifest_describes_the_run(tmp_path):
     assert manifest["spec"]["mode"] == "grid"
     assert manifest["spec"]["seed"] == 7
     assert manifest["cells"] == 1
-    assert "package_version" in manifest and "timing" in manifest
+    assert "package_version" in manifest
+    assert manifest["timing"] == "monotonic clock, per-phase wall time"
 
 
 def test_refine_grid_never_degrades_mean_recovery(tmp_path):
@@ -369,6 +377,40 @@ def test_runtime_bench_rows_and_manifest(tmp_path):
     manifest = json.loads((tmp_path / "bench.csv.manifest.json").read_text())
     assert set(manifest["slopes"]) == {"excl_eigen", "total"}
     assert manifest["csv_columns"] == list(BENCH_COLUMNS)
+    # The manifest records the repetitions that ran, not the spec's trials.
+    assert (manifest["spec"]["trials"], manifest["spec"]["workers"]) == (6, 1)
+    assert "median of 5 repetitions after one discarded warm-up" in manifest["timing"]
+
+
+def test_runtime_bench_takes_medians_after_the_warm_up(monkeypatch):
+    # Every phase of the k-th pipeline call reads k ms, and every call
+    # carries a science flag, which must not stop the bench.
+    calls = iter(range(100))
+    real = harness.run_pipeline
+
+    def counted(*args):
+        factors, result, timings, flags = real(*args)
+        k = float(next(calls))
+        return factors, result, dict.fromkeys(timings, k), flags + [FLAG_DEGENERATE_GAP]
+
+    monkeypatch.setattr(harness, "run_pipeline", counted)
+    spec = SweepSpec(mode="runtime", K=2, d=1, n_values=(48, 96), seed=5)
+    rows, _ = run_runtime_bench(spec)
+    got = {(n, phase): ms for n, phase, ms in rows}
+    # Calls 0-5 are n=48 and 6-11 are n=96; calls 0 and 6 are warm-ups.
+    for n, k in ((48, 3.0), (96, 9.0)):
+        assert got[n, "eigen"] == got[n, "refine"] == k
+        assert (got[n, "excl_eigen"], got[n, "total"]) == (3 * k, 4 * k)
+
+
+def test_runtime_bench_raises_on_a_failed_trial(monkeypatch):
+    def stalled(a, k, cfg=None):
+        raise NoConvergenceError("no convergence after 1 iterations")
+
+    monkeypatch.setattr(harness, "top_eigenpairs", stalled)
+    spec = SweepSpec(mode="runtime", K=2, d=1, n_values=(48, 96), seed=5)
+    with pytest.raises(SynclusterError, match="^runtime bench trial 0 at n=48 failed: NoConvergence$"):
+        run_runtime_bench(spec)
 
 
 def test_runtime_bench_requires_runtime_mode():

@@ -12,7 +12,6 @@ from syncluster.linalg import (
     POLAR_RECONSTRUCTION_RTOL,
     haar_from_normals,
     polar_decompose,
-    sample_haar_orthogonal,
 )
 
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
@@ -136,14 +135,14 @@ def test_polar_rejects_bad_input():
 
 @given(seeds, dims)
 def test_property_orthogonality_haar(seed, d):
-    sample = sample_haar_orthogonal(d, _gen(seed))
+    sample = haar_from_normals(_gen(seed).standard_normal((d, d)))
     assert _ortho_defect(sample) <= ORTHOGONALITY_ATOL
 
 
 @given(seeds, dims)
 def test_property_determinism_haar(seed, d):
-    a = sample_haar_orthogonal(d, _gen(seed))
-    b = sample_haar_orthogonal(d, _gen(seed))
+    a = haar_from_normals(_gen(seed).standard_normal((d, d)))
+    b = haar_from_normals(_gen(seed).standard_normal((d, d)))
     assert np.array_equal(a, b)
 
 
@@ -158,7 +157,7 @@ def test_haar_sign_convention_nonnegative_r_diagonal(rng):
 
 def test_haar_left_invariance_monte_carlo(rng):
     d = 3
-    left = sample_haar_orthogonal(d, rng)
+    left = haar_from_normals(rng.standard_normal((d, d)))
     samples = haar_from_normals(rng.standard_normal((10000, d, d)))
     rotated = left @ samples
     assert np.abs(rotated.mean(axis=0)).max() < 0.05
@@ -169,7 +168,3 @@ def test_haar_hits_both_determinant_signs(rng):
     negative = (dets < 0).mean()
     assert 0.4 < negative < 0.6
 
-
-def test_sample_haar_rejects_bad_dimension(rng):
-    with pytest.raises(ValidationError):
-        sample_haar_orthogonal(0, rng)

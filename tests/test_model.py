@@ -109,7 +109,7 @@ def test_property_determinism_generation(case):
 def test_generated_matrix_symmetric_zero_diagonal(case):
     seed, n, big_k, d, p10, q10 = case
     gt, a = generate_instance(_params(seed, n, big_k, d, p10, q10))
-    dense = a.to_dense()
+    dense = oracles.dense(a)
     assert np.array_equal(dense, dense.T)
     for i in range(n):
         assert not dense[i * d : (i + 1) * d, i * d : (i + 1) * d].any()
@@ -273,7 +273,7 @@ def test_matvec_matches_dense_oracle(case, extra, kind):
     if kind == "restricted":
         a = a.restrict(rng.choice(n, size=max(1, n // 2), replace=False))
     x = rng.standard_normal((a.nd,) + extra)
-    want = oracles.dense_matvec(a.to_dense(), x)
+    want = oracles.dense_matvec(oracles.dense(a), x)
     got = a.matvec(x)
     assert got.shape == want.shape
     assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
@@ -296,7 +296,7 @@ def test_every_pair_matvec_reads_source_runs_in_place():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    want = oracles.dense_matvec(a.to_dense(), x)
+    want = oracles.dense_matvec(oracles.dense(a), x)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
     assert peak < 2 * x.nbytes + (n - 1) * d * c * 8
 
@@ -325,7 +325,7 @@ def test_restrict_matches_dense_submatrix(case):
     nodes = np.sort(rng.choice(n, size=max(2, n // 2), replace=False))
     sub = a.restrict(nodes)
     rows = np.concatenate([np.arange(i * d, (i + 1) * d) for i in nodes])
-    assert np.allclose(sub.to_dense(), a.to_dense()[np.ix_(rows, rows)], atol=0)
+    assert np.allclose(oracles.dense(sub), oracles.dense(a)[np.ix_(rows, rows)], atol=0)
 
 
 def test_sparse_matrix_validates_pairs():
@@ -402,7 +402,7 @@ def test_add_noise_densifies_and_shifts_stored_blocks():
     a = generate_observation(gt, params.p, params.q, src)
     noisy = add_gaussian_noise(a, 0.5, src)
     assert noisy.pair_count == 8 * 7 // 2
-    diff = noisy.to_dense() - a.to_dense()
+    diff = oracles.dense(noisy) - oracles.dense(a)
     assert np.array_equal(diff, diff.T)
     for i in range(8):
         assert not diff[i * 2 : (i + 1) * 2, i * 2 : (i + 1) * 2].any()

@@ -9,6 +9,7 @@ import oracles
 from syncluster.cpqr import BlockCpqrFactors, blockwise_cpqr
 from syncluster.eigensolver import top_eigenpairs
 from syncluster.errors import ValidationError
+from syncluster.linalg import haar_from_normals
 from syncluster.model import ModelParams, SparseBlockMatrix, generate_instance
 from syncluster.recovery import (
     FLAG_DISCONNECTED_CLUSTER,
@@ -230,9 +231,7 @@ def test_refine_clusters_matches_per_node_oracle(seed, big_k, d, n, fraction):
 def _ring_matrix(n, d, seed):
     """Clean single-cluster ring: pairs (i, i+1) and (0, n-1)."""
     rng = _gen(seed)
-    from syncluster.linalg import sample_haar_orthogonal
-
-    transforms = np.stack([sample_haar_orthogonal(d, rng) for _ in range(n)])
+    transforms = haar_from_normals(rng.standard_normal((n, d, d)))
     pairs = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     pairs = sorted(pairs)
     data = np.stack([transforms[i] @ transforms[j].T for i, j in pairs])
@@ -303,9 +302,7 @@ def test_refine_transforms_handles_disconnection_per_component():
     # flags it and still refines each component on its own.
     d = 2
     rng = _gen(21)
-    from syncluster.linalg import sample_haar_orthogonal
-
-    transforms = np.stack([sample_haar_orthogonal(d, rng) for _ in range(8)])
+    transforms = haar_from_normals(rng.standard_normal((8, d, d)))
     pairs = []
     for lo, hi in ((0, 4), (4, 8)):
         for i in range(lo, hi):
@@ -336,9 +333,9 @@ def test_refine_transforms_maps_interleaved_components_back_to_their_nodes():
     # exactly its own nodes of the full matrix.
     d = 2
     rng = _gen(22)
-    from syncluster.linalg import polar_decompose, sample_haar_orthogonal
+    from syncluster.linalg import polar_decompose
 
-    transforms = np.stack([sample_haar_orthogonal(d, rng) for _ in range(12)])
+    transforms = haar_from_normals(rng.standard_normal((12, d, d)))
     cliques = (np.array([1, 4, 7, 10]), np.array([2, 5, 8, 11]), np.array([0, 3, 6]))
     pairs = sorted((int(i), int(j)) for c in cliques for i in c for j in c if i < j)
     data = np.stack([transforms[i] @ transforms[j].T for i, j in pairs])
