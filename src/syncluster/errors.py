@@ -75,3 +75,18 @@ def as_real(value, name):
     if isinstance(value, numbers.Real):
         return value
     raise ValidationError(f"{name} must be a real number, got {value!r}")
+
+
+def as_values(value, name):
+    """value as a tuple, for an argument that must list values.
+
+    Any iterable but a string passes; a bare number, a string and the like
+    raise ValidationError naming the argument rather than a TypeError from
+    iterating it deep inside the library.
+    """
+    if not isinstance(value, (str, bytes)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be a sequence of values, got {value!r}")

@@ -30,7 +30,9 @@ import numpy as np
 from . import __version__
 from .cpqr import blockwise_cpqr
 from .eigensolver import SolverConfig, top_eigenpairs
-from .errors import DomainError, ParseError, SynclusterError, ValidationError, as_index, as_real
+from .errors import (
+    DomainError, ParseError, SynclusterError, ValidationError, as_index, as_real, as_values,
+)
 from .metrics import alpha_for_eta, beta_for_eta, eta, exact_recovery, snr_ratio, sync_error
 from .model import ModelParams, RandomSource, generate_instance
 from .recovery import assign_and_extract, refine_clusters, refine_transforms
@@ -97,9 +99,10 @@ class SweepSpec:
     def validate(self):
         """Check the run settings, then resolve the cells and return them.
 
-        Every real-valued setting must be a real number. Building the
-        SolverConfig checks the solver settings, and each cell's
-        ModelParams checks its model settings, before any trial.
+        Every axis must list its values, and every real-valued setting
+        must be a real number. Building the SolverConfig checks the solver
+        settings, and each cell's ModelParams checks its model settings
+        (sizes included), before any trial.
 
         Returns:
             The resolve_cells list, so a run expands the spec only once.
@@ -114,8 +117,10 @@ class SweepSpec:
             if getattr(self, name) is not None:
                 as_real(getattr(self, name), name)
         for name in ("alpha", "beta", "eta_values", "sigma_values"):
-            for value in getattr(self, name):
+            for value in as_values(getattr(self, name), name):
                 as_real(value, name)
+        as_values(self.n_values, "n_values")
+        as_values(self.d_values, "d_values")
         if not 0.0 <= self.fraction <= 1.0:
             raise ValidationError("fraction must lie in [0, 1]")
         _solver_config(self, seed=0)

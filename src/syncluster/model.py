@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ParseError, ValidationError, as_index, as_real
+from .errors import NonFiniteError, ParseError, ValidationError, as_index, as_real, as_values
 from .linalg import haar_from_normals
 
 # Named stream keys. Each consumer of randomness owns one key so streams
@@ -124,7 +124,7 @@ class ModelParams:
             sizes = tuple(base + (1 if k < extra else 0) for k in range(self.K))
             object.__setattr__(self, "sizes", sizes)
         else:
-            sizes = tuple(as_index(s, "sizes") for s in self.sizes)
+            sizes = tuple(as_index(s, "sizes") for s in as_values(self.sizes, "sizes"))
             object.__setattr__(self, "sizes", sizes)
             if len(sizes) != self.K:
                 raise ValidationError("sizes must list exactly K cluster sizes")
@@ -190,13 +190,10 @@ class SparseBlockMatrix:
         self.d = as_index(d, "d")
         if self.n < 1 or self.d < 1:
             raise ValidationError("n and d must be at least 1")
-        given = np.asarray(pairs)
-        pairs = np.ascontiguousarray(given, dtype=np.int64)
+        pairs = _as_indices(pairs, "pair indices")
         data = np.ascontiguousarray(data, dtype=np.float64)
         if pairs.size % 2 or (pairs.ndim > 1 and pairs.shape[-1] != 2):
             raise ValidationError("pairs must hold (i, j) index pairs")
-        if given.dtype.kind not in "iu" and not np.array_equal(pairs, given):
-            raise ValidationError("pair indices must be integers")
         pairs = pairs.reshape(-1, 2)
         if data.size != pairs.shape[0] * self.d * self.d:
             raise ValidationError("data must hold one d x d block per pair")
@@ -320,9 +317,10 @@ class SparseBlockMatrix:
         """Principal block submatrix on the given nodes, re-indexed 0..len-1.
 
         Nodes are taken in ascending order, so relative order (and the i < j
-        orientation of stored blocks) is preserved.
+        orientation of stored blocks) is preserved. Integral floats pass as
+        indices; other non-integers raise ValidationError.
         """
-        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+        nodes = np.unique(_as_indices(nodes, "node indices"))
         if nodes.size == 0:
             raise ValidationError("nodes must be non-empty")
         if nodes.min() < 0 or nodes.max() >= self.n:
@@ -332,6 +330,21 @@ class SparseBlockMatrix:
         mapped = lookup[self.pairs]
         keep = (mapped >= 0).all(axis=1)
         return SparseBlockMatrix(nodes.size, self.d, mapped[keep], self.data[keep], copy=False)
+
+
+def _as_indices(values, what):
+    """values as a C-contiguous int64 array.
+
+    Integers and integral floats pass; anything else (fractions, booleans,
+    strings, None) raises ValidationError rather than being truncated or
+    failing inside numpy.
+    """
+    given = np.asarray(values)
+    if given.dtype.kind in "iuf":
+        indices = np.ascontiguousarray(given, dtype=np.int64)
+        if given.dtype.kind != "f" or np.array_equal(indices, given):
+            return indices
+    raise ValidationError(f"{what} must be integers")
 
 
 def _as_run(idx):
@@ -429,9 +442,9 @@ def generate_observation(gt, p, q, source):
     Returns:
         SparseBlockMatrix.
     """
-    if not 0.0 <= p <= 1.0:
+    if not 0.0 <= as_real(p, "p") <= 1.0:
         raise ValidationError("p must lie in [0, 1]")
-    if not 0.0 <= q <= 1.0:
+    if not 0.0 <= as_real(q, "q") <= 1.0:
         raise ValidationError("q must lie in [0, 1]")
     n, d = gt.n, gt.d
     sizes = gt.sizes.tolist()
@@ -503,7 +516,7 @@ def add_gaussian_noise(a, sigma, source):
         ValidationError: sigma > 0 and the n(n-1)/2 noise blocks would
             exceed the dense-noise memory budget (1 GiB).
     """
-    if not 0.0 <= sigma < np.inf:
+    if not 0.0 <= as_real(sigma, "sigma") < np.inf:
         raise ValidationError("sigma must be finite and non-negative")
     if sigma == 0:
         return a

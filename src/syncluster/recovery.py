@@ -5,8 +5,8 @@ its mass in one block row in the noiseless case, so the row of largest
 Frobenius norm names the cluster and the polar factor of that block (then
 transposed) gives the orthogonal transform estimate. Refinement passes
 re-assign low-confidence labels by mean squared block-column similarity, and
-re-estimate transforms from per-cluster restricted eigenvectors, which is
-exact on noiseless connected clusters.
+re-estimate transforms from restricted eigenvectors, one solve per connected
+component of each cluster, which is exact on noiseless connected clusters.
 """
 
 from dataclasses import dataclass, replace
@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .eigensolver import top_eigenpairs
-from .errors import ValidationError, as_index
+from .errors import ValidationError, as_index, as_real
 from .linalg import polar_decompose
 
 # Block columns with total norm below this are treated as all-zero: the
@@ -124,11 +124,14 @@ def refine_clusters(factors, result, fraction=0.10):
     Returns:
         New RecoveryResult.
     """
-    if not 0.0 <= fraction <= 1.0:
+    if not 0.0 <= as_real(fraction, "fraction") <= 1.0:
         raise ValidationError("fraction must lie in [0, 1]")
     r = factors.r
     d = factors.d
     n = r.shape[1] // d
+    onehot = result.labels[:, None] == np.arange(1, result.cluster_count + 1)
+    if onehot.shape[0] != n or not onehot.any(axis=1).all():
+        raise ValidationError("labels must give each block column a cluster in 1..cluster_count")
     count = int(round(fraction * n))
     if count == 0:
         return result
@@ -136,7 +139,6 @@ def refine_clusters(factors, result, fraction=0.10):
     order = np.argsort(result.confidence, kind="stable")
     examined = order[:count]
 
-    onehot = result.labels[:, None] == np.arange(1, result.cluster_count + 1)
     sizes = onehot.sum(axis=0)
     flags = tuple(result.flags)
     if (sizes == 0).any() and FLAG_EMPTY_CLUSTER not in flags:
@@ -162,49 +164,50 @@ def connectivity_check(a, nodes):
         (connected, components): components labels each entry of
         sorted(nodes) with its component id, 0-based, in first-seen order.
     """
-    return _components(a.restrict(nodes))
+    sub = a.restrict(nodes)
+    components = _components(sub.n, sub.pairs)
+    return not components.any(), components
 
 
-def _components(a):
-    """(connected, components) of the observed-block graph of all of a."""
-    # Label propagation over trees: every root hooks to the smallest root
-    # it shares an edge with, then pointers jump until each node points at
-    # its root. Hooks always go to a smaller index, so a root is the
-    # smallest node of its tree, and within two rounds every tree with an
-    # outside edge merges, so the rounds are logarithmic in the node count.
-    parent = np.arange(a.n)
-    if a.pair_count:
-        u, v = a.pairs.T
-        while u.size:
-            ru, rv = parent[u], parent[v]
-            cross = ru != rv
-            u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
-            np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
-            while True:
-                jumped = parent[parent]
-                if np.array_equal(jumped, parent):
-                    break
-                parent = jumped
+def _components(n, pairs):
+    """Component ids, 0-based in first-seen order, of nodes 0..n-1 joined by pairs."""
+    # Hooking and pointer jumping (Shiloach & Vishkin, 1982): every root
+    # hooks to the smallest root it shares an edge with, then pointers jump
+    # until each node points at its root. Hooks go to a smaller index, so a
+    # root is the smallest node of its tree, and within two rounds every
+    # tree with an outside edge merges: the rounds are logarithmic in n.
+    parent = np.arange(n)
+    u, v = pairs.T
+    while u.size:
+        ru, rv = parent[u], parent[v]
+        cross = ru != rv
+        u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
     # Roots are component minima, so ranking them numbers the components
     # in first-seen order.
-    roots, components = np.unique(parent, return_inverse=True)
-    return roots.size == 1, components
+    return np.unique(parent, return_inverse=True)[1]
 
 
 def refine_transforms(a, result, cfg=None):
-    """Re-estimate transforms from per-cluster restricted eigenvectors.
+    """Re-estimate transforms per component of the within-cluster graph.
 
-    For each estimated cluster, the top-d eigenvectors of the observation
-    matrix restricted to that cluster are computed and each node's d x d
-    eigenvector block is replaced by its polar factor. On a noiseless
+    That graph keeps the observed pairs whose two ends share a label, so
+    its components never cross a cluster. Each component's nodes take the
+    polar factors of their d x d blocks of the top-d eigenvectors of the
+    observation matrix restricted to that component. On a noiseless
     instance with correctly recovered, connected clusters this recovers
     every transform exactly (up to the inherent per-cluster global factor).
-    Disconnected clusters are flagged and refined per connected component,
-    each component keeping its own arbitrary global factor.
+    Empty clusters, then clusters split into several components, are
+    flagged; each component keeps its own arbitrary global factor.
 
     Args:
         a: the observation matrix the factors came from.
-        result: RecoveryResult whose labels partition the nodes.
+        result: RecoveryResult whose labels partition the nodes of a.
         cfg: SolverConfig for the restricted eigensolves.
 
     Returns:
@@ -212,28 +215,24 @@ def refine_transforms(a, result, cfg=None):
         carry over.
 
     Raises:
+        ValidationError: the labels do not give each node of a a cluster.
         NoConvergenceError: propagated from the eigensolver.
         NonFiniteError: a restricted eigenvector block is not finite.
     """
-    d = a.d
-    transforms = result.transforms.copy()
+    labels, d = result.labels, a.d
+    if labels.shape != (a.n,) or labels.min() < 1 or labels.max() > result.cluster_count:
+        raise ValidationError("labels must give each node of a a cluster in 1..cluster_count")
+    nonempty = np.count_nonzero(np.bincount(labels))
+    components = _components(a.n, a.pairs[np.equal(*labels[a.pairs].T)])
     flags = tuple(result.flags)
-    for k in range(1, result.cluster_count + 1):
-        nodes = result.cluster_nodes(k)
-        if nodes.size == 0:
-            if FLAG_EMPTY_CLUSTER not in flags:
-                flags = flags + (FLAG_EMPTY_CLUSTER,)
-            continue
-        cluster = a.restrict(nodes)
-        connected, components = _components(cluster)
-        if not connected and FLAG_DISCONNECTED_CLUSTER not in flags:
-            flags = flags + (FLAG_DISCONNECTED_CLUSTER,)
-        for c in range(int(components.max()) + 1):
-            local = np.flatnonzero(components == c)
-            part = cluster if connected else cluster.restrict(local)
-            blocks = top_eigenpairs(part, d, cfg).vectors.reshape(-1, d, d)
-            transforms[nodes[local]] = polar_decompose(blocks)
-        # Free this cluster's matrix and matvec plan before the next
-        # restrict, so two clusters' copies never coexist at peak memory.
-        del cluster, part
+    if nonempty < result.cluster_count and FLAG_EMPTY_CLUSTER not in flags:
+        flags = flags + (FLAG_EMPTY_CLUSTER,)
+    if components.max() >= nonempty and FLAG_DISCONNECTED_CLUSTER not in flags:
+        flags = flags + (FLAG_DISCONNECTED_CLUSTER,)
+    transforms = result.transforms.copy()
+    order = np.argsort(components, kind="stable")
+    for nodes in np.split(order, np.cumsum(np.bincount(components))[:-1]):
+        # Inline, so each restricted matrix is freed before the next is built.
+        vectors = top_eigenpairs(a.restrict(nodes), d, cfg).vectors
+        transforms[nodes] = polar_decompose(vectors.reshape(-1, d, d))
     return replace(result, transforms=transforms, flags=flags)

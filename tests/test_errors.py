@@ -7,8 +7,15 @@ from syncluster.cpqr import blockwise_cpqr
 from syncluster.eigensolver import SolverConfig, top_eigenpairs
 from syncluster.errors import ValidationError
 from syncluster.harness import SweepSpec, run_sweep
-from syncluster.model import ModelParams, RandomSource, generate_instance
-from syncluster.recovery import assign_and_extract
+from syncluster.model import (
+    ModelParams,
+    RandomSource,
+    add_gaussian_noise,
+    generate_ground_truth,
+    generate_instance,
+    generate_observation,
+)
+from syncluster.recovery import assign_and_extract, refine_clusters
 
 
 def _instance():
@@ -22,6 +29,15 @@ def _spec(**kw):
 
 def _factors():
     return blockwise_cpqr(top_eigenpairs(_instance(), 4).vectors.T, 2)
+
+
+def _truth():
+    return generate_ground_truth(ModelParams(n=12, K=2, d=2, p=1.0, q=0.0, seed=1))
+
+
+def _refine_clusters(fraction):
+    factors = _factors()
+    return refine_clusters(factors, assign_and_extract(factors, 2, 2), fraction)
 
 
 @pytest.mark.parametrize("name, call", [
@@ -54,7 +70,28 @@ def test_non_integer_arguments_fail_typed_and_named(name, call):
     ("beta", lambda: _spec(beta=("0.5",)).validate()),
     ("eta_values", lambda: _spec(mode="eta-sweep", eta_values=("0.4",)).validate()),
     ("sigma_values", lambda: _spec(sigma_values=(0.0, "0.1")).validate()),
+    pytest.param("fraction", lambda: _refine_clusters("0.1"), id="fraction-refine_clusters"),
+    pytest.param("p", lambda: generate_observation(_truth(), "0.5", 0.1, RandomSource(1)),
+                 id="p-generate_observation"),
+    pytest.param("q", lambda: generate_observation(_truth(), 0.5, "0.1", RandomSource(1)),
+                 id="q-generate_observation"),
+    pytest.param("sigma", lambda: add_gaussian_noise(_instance(), "0.3", RandomSource(1)),
+                 id="sigma-add_gaussian_noise"),
 ])
 def test_non_real_settings_fail_typed_and_named(name, call):
     with pytest.raises(ValidationError, match=f"^{name} must be a real number"):
+        call()
+
+
+@pytest.mark.parametrize("name, call", [
+    ("alpha", lambda: SweepSpec(mode="grid", n=32, alpha=8.0, beta=(0.5,)).validate()),
+    ("n_values", lambda: SweepSpec(mode="runtime", n_values=400).validate()),
+    ("d_values", lambda: SweepSpec(mode="snr", n=32, d_values=2).validate()),
+    ("eta_values", lambda: _spec(mode="eta-sweep", eta_values=0.5).validate()),
+    ("sigma_values", lambda: _spec(sigma_values=0.3).validate()),
+    ("sizes", lambda: _spec(sizes=16).validate()),
+    ("sizes", lambda: ModelParams(n=12, K=1, d=2, p=0.5, q=0.1, sizes=12)),
+])
+def test_bare_numbers_on_axis_fields_fail_typed_and_named(name, call):
+    with pytest.raises(ValidationError, match=f"^{name} must be a sequence of values"):
         call()

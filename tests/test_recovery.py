@@ -9,7 +9,7 @@ import oracles
 from syncluster.cpqr import BlockCpqrFactors, blockwise_cpqr
 from syncluster.eigensolver import top_eigenpairs
 from syncluster.errors import ValidationError
-from syncluster.linalg import haar_from_normals
+from syncluster.linalg import haar_from_normals, polar_decompose
 from syncluster.model import ModelParams, SparseBlockMatrix, generate_instance
 from syncluster.recovery import (
     FLAG_DISCONNECTED_CLUSTER,
@@ -255,6 +255,18 @@ def test_connectivity_check_connected_and_split():
             connectivity_check(a, np.array(nodes))
 
 
+def test_restrict_and_connectivity_reject_non_integral_nodes():
+    _, a = _ring_matrix(6, 1, seed=2)
+    for call in (a.restrict, lambda nodes: connectivity_check(a, nodes)):
+        for nodes in ([0.5, 1.7], ["0", "1"], [None, 1]):
+            with pytest.raises(ValidationError, match="^node indices must be integers"):
+                call(nodes)
+    # Integral floats name the same nodes as their integers.
+    sub = a.restrict([0.0, 1.0, 3.0])
+    assert np.array_equal(sub.pairs, a.restrict([0, 1, 3]).pairs)
+    assert connectivity_check(a, np.array([0.0, 1.0, 3.0]))[1].tolist() == [0, 0, 1]
+
+
 def _edge_matrix(n, edges):
     """d=1 matrix whose stored blocks are exactly the given undirected edges."""
     edges = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
@@ -297,64 +309,100 @@ def test_refine_transforms_exact_on_clean_instance():
     assert refined.flags == result.flags
 
 
+def _clique_matrix(n, d, cliques, seed, cross=()):
+    """Clean matrix holding every pair inside each clique, plus Haar cross pairs."""
+    rng = _gen(seed)
+    transforms = haar_from_normals(rng.standard_normal((n, d, d)))
+    within = {(int(i), int(j)) for c in cliques for i in c for j in c if i < j}
+    pairs = sorted(within | set(cross))
+    data = np.stack([
+        transforms[i] @ transforms[j].T if (i, j) in within
+        else haar_from_normals(rng.standard_normal((d, d)))
+        for i, j in pairs
+    ])
+    return transforms, SparseBlockMatrix(n=n, d=d, pairs=np.array(pairs), data=data)
+
+
+def _assert_solved_per_component(a, refined, truth, components):
+    # Each component's transforms equal a solve restricted to exactly its
+    # own nodes of the full matrix, and match the truth up to one gauge.
+    d = a.d
+    for nodes in components:
+        blocks = top_eigenpairs(a.restrict(nodes), d).vectors.reshape(-1, d, d)
+        assert np.array_equal(refined.transforms[nodes], polar_decompose(blocks))
+        if nodes.size > 1:
+            assert oracles.gauge_align_error(truth[nodes], refined.transforms[nodes]) <= 1e-7
+
+
+def _identity_result(labels, d, cluster_count):
+    n = len(labels)
+    return RecoveryResult(
+        labels=np.asarray(labels, dtype=np.int64),
+        transforms=np.stack([np.eye(d)] * n),
+        confidence=np.ones(n),
+        cluster_count=cluster_count,
+    )
+
+
 def test_refine_transforms_handles_disconnection_per_component():
     # One declared cluster that is actually two disjoint cliques: the pass
     # flags it and still refines each component on its own.
     d = 2
-    rng = _gen(21)
-    transforms = haar_from_normals(rng.standard_normal((8, d, d)))
-    pairs = []
-    for lo, hi in ((0, 4), (4, 8)):
-        for i in range(lo, hi):
-            for j in range(i + 1, hi):
-                pairs.append((i, j))
-    pairs = sorted(pairs)
-    data = np.stack([transforms[i] @ transforms[j].T for i, j in pairs])
-    a = SparseBlockMatrix(n=8, d=d, pairs=np.array(pairs, dtype=np.int64), data=data)
-    seed_result = RecoveryResult(
-        labels=np.ones(8, dtype=np.int64),
-        transforms=np.stack([np.eye(d)] * 8),
-        confidence=np.ones(8),
-        cluster_count=1,
-    )
-    refined = refine_transforms(a, seed_result)
-    assert FLAG_DISCONNECTED_CLUSTER in refined.flags
-    for lo, hi in ((0, 4), (4, 8)):
-        err = oracles.gauge_align_error(
-            transforms[lo:hi], refined.transforms[lo:hi]
-        )
-        assert err <= 1e-7
+    cliques = (np.arange(4), np.arange(4, 8))
+    transforms, a = _clique_matrix(8, d, cliques, seed=21)
+    refined = refine_transforms(a, _identity_result(np.ones(8), d, 1))
+    assert refined.flags == (FLAG_DISCONNECTED_CLUSTER,)
+    _assert_solved_per_component(a, refined, transforms, cliques)
 
 
 def test_refine_transforms_maps_interleaved_components_back_to_their_nodes():
     # Cluster 1 holds two interleaved cliques, {1, 4, 7, 10} and
     # {2, 5, 8, 11}, and the isolated node 9; cluster 2 is the clique
-    # {0, 3, 6}. Each component's transforms equal a solve restricted to
-    # exactly its own nodes of the full matrix.
+    # {0, 3, 6}.
     d = 2
-    rng = _gen(22)
-    from syncluster.linalg import polar_decompose
-
-    transforms = haar_from_normals(rng.standard_normal((12, d, d)))
     cliques = (np.array([1, 4, 7, 10]), np.array([2, 5, 8, 11]), np.array([0, 3, 6]))
-    pairs = sorted((int(i), int(j)) for c in cliques for i in c for j in c if i < j)
-    data = np.stack([transforms[i] @ transforms[j].T for i, j in pairs])
-    a = SparseBlockMatrix(n=12, d=d, pairs=np.array(pairs), data=data)
+    transforms, a = _clique_matrix(12, d, cliques, seed=22)
     labels = np.ones(12, dtype=np.int64)
     labels[cliques[2]] = 2
-    seed_result = RecoveryResult(
-        labels=labels,
-        transforms=np.stack([np.eye(d)] * 12),
-        confidence=np.ones(12),
-        cluster_count=2,
-    )
-    refined = refine_transforms(a, seed_result)
-    assert FLAG_DISCONNECTED_CLUSTER in refined.flags
-    for nodes in cliques + (np.array([9]),):
-        blocks = top_eigenpairs(a.restrict(nodes), d).vectors.reshape(-1, d, d)
-        assert np.array_equal(refined.transforms[nodes], polar_decompose(blocks))
-    for nodes in cliques:
-        assert oracles.gauge_align_error(transforms[nodes], refined.transforms[nodes]) <= 1e-7
+    refined = refine_transforms(a, _identity_result(labels, d, 2))
+    assert refined.flags == (FLAG_DISCONNECTED_CLUSTER,)
+    _assert_solved_per_component(a, refined, transforms, cliques + (np.array([9]),))
+
+
+def test_refine_transforms_splits_every_cluster_and_flags_empty_first():
+    # Clusters 1 and 2 each hold two interleaved cliques, cluster 3 owns no
+    # node, and cross-cluster pairs chain all four cliques together: only
+    # the pairs inside a cluster may join a component.
+    d = 2
+    cliques = (np.array([0, 4, 8]), np.array([2, 6, 10]), np.array([1, 5, 9]), np.array([3, 7, 11]))
+    cross = ((0, 1), (1, 2), (2, 3), (7, 8))
+    transforms, a = _clique_matrix(12, d, cliques, seed=23, cross=cross)
+    labels = np.where(np.arange(12) % 2, 2, 1)
+    refined = refine_transforms(a, _identity_result(labels, d, 3))
+    assert refined.flags == (FLAG_EMPTY_CLUSTER, FLAG_DISCONNECTED_CLUSTER)
+    _assert_solved_per_component(a, refined, transforms, cliques)
+
+
+@pytest.mark.parametrize("count", [6, 13])
+def test_refinements_reject_labels_not_one_per_node(count):
+    _, a, factors, _ = _clean_recovery(12, 2, 2, seed=5)
+    wrong = _identity_result(np.ones(count), 2, 2)
+    with pytest.raises(ValidationError, match="^labels must give each node of a a cluster"):
+        refine_transforms(a, wrong)
+    with pytest.raises(ValidationError, match="^labels must give each block column a cluster"):
+        refine_clusters(factors, wrong)
+
+
+@pytest.mark.parametrize("stray", [0, 3])
+def test_refinements_reject_labels_outside_the_clusters(stray):
+    _, a, factors, result = _clean_recovery(12, 2, 2, seed=5)
+    labels = result.labels.copy()
+    labels[4] = stray
+    wrong = _identity_result(labels, 2, 2)
+    with pytest.raises(ValidationError, match="1..cluster_count"):
+        refine_transforms(a, wrong)
+    with pytest.raises(ValidationError, match="1..cluster_count"):
+        refine_clusters(factors, wrong)
 
 
 def test_refine_transforms_flags_empty_cluster_and_keeps_rest():
