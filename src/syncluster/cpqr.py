@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ValidationError, as_index
+from .errors import NonFiniteError, ValidationError, as_floats, as_index, as_indices
 
 # A pivot column whose R diagonal falls below this absolute value marks
 # the input as rank deficient.
@@ -66,7 +66,7 @@ def apply_block_permutation(m, perm):
             count of m is not divisible by len(perm).
     """
     m = np.asarray(m)
-    perm = np.asarray(perm, dtype=np.int64)
+    perm = as_indices(perm, "perm")
     n = perm.size
     if n < 1 or m.ndim != 2 or m.shape[1] % n != 0:
         raise ValidationError("column count must be a positive multiple of len(perm)")
@@ -95,7 +95,7 @@ def blockwise_cpqr(x, d):
         NonFiniteError: x contains NaN or Inf.
         ValidationError: shapes incompatible with the block dimension.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = as_floats(x, "x")
     d = as_index(d, "d")
     if x.ndim != 2:
         raise ValidationError("x must be a 2-d array")

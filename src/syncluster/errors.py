@@ -8,6 +8,8 @@ SynclusterError to exit code 1 and I/O problems to exit code 2.
 import numbers
 import operator
 
+import numpy as np
+
 
 class SynclusterError(Exception):
     """Base class for all library errors."""
@@ -90,3 +92,38 @@ def as_values(value, name):
         except TypeError:
             pass
     raise ValidationError(f"{name} must be a sequence of values, got {value!r}")
+
+
+def as_floats(value, name):
+    """value as a float64 ndarray, for an argument that must hold real numbers.
+
+    Anything numpy converts to float64 passes (unchanged when it is a
+    float64 array already); strings and the like raise ValidationError
+    naming the argument rather than a TypeError or ValueError from numpy,
+    and complex values rather than losing their imaginary parts.
+    """
+    try:
+        given = np.asarray(value)
+        if given.dtype.kind != "c":
+            return given.astype(np.float64, copy=False)
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"{name} must hold real numbers")
+
+
+def as_indices(values, name):
+    """values as a C-contiguous int64 ndarray, for an argument of indices.
+
+    Integers and integral floats pass; anything else (fractions, booleans,
+    strings, None, ragged lists) raises ValidationError naming the argument
+    rather than being truncated or failing inside numpy.
+    """
+    try:
+        given = np.asarray(values)
+    except ValueError:
+        raise ValidationError(f"{name} must be integers") from None
+    if given.dtype.kind in "iuf":
+        indices = np.asarray(given, dtype=np.int64, order="C")
+        if given.dtype.kind != "f" or np.array_equal(indices, given):
+            return indices
+    raise ValidationError(f"{name} must be integers")

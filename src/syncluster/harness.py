@@ -113,6 +113,8 @@ class SweepSpec:
             raise ValidationError("trials must be at least 1")
         if as_index(self.workers, "workers") < 1:
             raise ValidationError("workers must be at least 1")
+        if self.n is not None:
+            as_index(self.n, "n")
         for name in ("fraction", "p", "q", "sigma", "solver_tolerance"):
             if getattr(self, name) is not None:
                 as_real(getattr(self, name), name)
@@ -224,7 +226,12 @@ def run_pipeline(a, big_k, d, cfg, refine="none", fraction=0.10):
     Returns:
         (factors, result, timings, flags): timings is a dict of phase
         milliseconds; flags lists degeneracies observed.
+
+    Raises:
+        ValidationError: refine is not one of REFINE_CHOICES.
     """
+    if refine not in REFINE_CHOICES:
+        raise ValidationError(f"refine must be one of {'/'.join(REFINE_CHOICES)}")
     flags = []
     t0 = time.perf_counter()
     basis = top_eigenpairs(a, big_k * d, cfg)
@@ -438,27 +445,45 @@ def run_runtime_bench(spec, out_path=None):
     return rows, slopes
 
 
-# Configuration files: flat key=value lines, # comments, no sections.
-_LIST_INT = "list_int"
-_LIST_FLOAT = "list_float"
-_RANGE = "range"
+# Configuration files: flat key=value lines, # comments, no sections. Each
+# key maps to the converter of its text, which raises ValueError if it is bad.
+def _ints(raw):
+    return tuple(int(part) for part in raw.split(","))
+
+
+def _floats(raw):
+    return tuple(float(part) for part in raw.split(","))
+
+
+def _range(raw):
+    """Either a lo:hi:steps inclusive range or a comma list/scalar."""
+    if ":" not in raw:
+        return _floats(raw)
+    fields = raw.split(":")
+    if len(fields) != 3:
+        raise ValueError("ranges are lo:hi:steps")
+    lo, hi, steps = float(fields[0]), float(fields[1]), int(fields[2])
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    return tuple(float(v) for v in np.linspace(lo, hi, steps))
+
 
 _SWEEP_KEYS = {
     "mode": str,
     "n": int,
     "K": int,
     "d": int,
-    "sizes": _LIST_INT,
-    "alpha": _RANGE,
-    "beta": _RANGE,
+    "sizes": _ints,
+    "alpha": _range,
+    "beta": _range,
     "p": float,
     "q": float,
-    "eta": _LIST_FLOAT,
+    "eta": _floats,
     "fixed_axis": str,
-    "n_list": _LIST_INT,
-    "d_list": _LIST_INT,
+    "n_list": _ints,
+    "d_list": _ints,
     "sigma": float,
-    "sigma_list": _LIST_FLOAT,
+    "sigma_list": _floats,
     "trials": int,
     "refine": str,
     "fraction": float,
@@ -466,44 +491,16 @@ _SWEEP_KEYS = {
     "workers": int,
     "solver_tolerance": float,
     "solver_max_iterations": int,
-    "zero_timings": int,
+    "zero_timings": lambda raw: bool(int(raw)),
 }
 
 _MODEL_KEYS = {
-    "n": int, "K": int, "d": int, "sizes": _LIST_INT,
+    "n": int, "K": int, "d": int, "sizes": _ints,
     "p": float, "q": float, "sigma": float, "seed": int,
 }
 
 _KEY_TO_FIELD = {"eta": "eta_values", "n_list": "n_values", "d_list": "d_values",
                  "sigma_list": "sigma_values"}
-
-
-def _parse_value(key, kind, raw, where):
-    try:
-        if kind is str:
-            return raw
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind == _LIST_INT:
-            return tuple(int(part) for part in raw.split(","))
-        if kind == _LIST_FLOAT:
-            return tuple(float(part) for part in raw.split(","))
-        if kind == _RANGE:
-            # Either a lo:hi:steps inclusive range or a comma list/scalar.
-            if ":" in raw:
-                fields = raw.split(":")
-                if len(fields) != 3:
-                    raise ValueError("ranges are lo:hi:steps")
-                lo, hi, steps = float(fields[0]), float(fields[1]), int(fields[2])
-                if steps < 1:
-                    raise ValueError("steps must be at least 1")
-                return tuple(float(v) for v in np.linspace(lo, hi, steps))
-            return tuple(float(part) for part in raw.split(","))
-    except ValueError as exc:
-        raise ParseError(f"{where}: invalid value for '{key}': {exc}") from None
-    raise ParseError(f"{where}: unhandled kind for '{key}'")
 
 
 def _parse_flat_file(path, keys):
@@ -520,7 +517,10 @@ def _parse_flat_file(path, keys):
                 raise ParseError(f"{path}:{lineno}: unknown key '{key}'")
             if key in entries:
                 raise ParseError(f"{path}:{lineno}: duplicate key '{key}'")
-            entries[key] = _parse_value(key, keys[key], raw, f"{path}:{lineno}")
+            try:
+                entries[key] = keys[key](raw)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: invalid value for '{key}': {exc}") from None
     return entries
 
 
@@ -546,12 +546,7 @@ def load_config(path, overrides=None):
     entries = _parse_flat_file(path, _SWEEP_KEYS)
     if "mode" not in entries:
         raise ValidationError(f"{path}: missing required key 'mode'")
-    kwargs = {}
-    for key, value in entries.items():
-        if key == "zero_timings":
-            value = bool(value)
-        kwargs[_KEY_TO_FIELD.get(key, key)] = value
-    spec = SweepSpec(**kwargs)
+    spec = SweepSpec(**{_KEY_TO_FIELD.get(key, key): value for key, value in entries.items()})
     if overrides:
         for name, value in overrides.items():
             if value is not None:

@@ -8,7 +8,7 @@ module constants so tests never restate magic numbers.
 
 import numpy as np
 
-from .errors import NonFiniteError, ValidationError
+from .errors import NonFiniteError, ValidationError, as_floats
 
 # Relative Frobenius bound for the orthogonal factor times the PSD factor
 # reconstructing the input.
@@ -36,7 +36,7 @@ def polar_decompose(x):
         NonFiniteError: x contains NaN or Inf.
         ValidationError: the trailing two dimensions of x are not square.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = as_floats(x, "x")
     if x.ndim < 2 or x.shape[-1] != x.shape[-2] or x.shape[-1] < 1:
         raise ValidationError(f"x must be square in its last two dimensions, got shape {x.shape}")
     if not np.isfinite(x).all():

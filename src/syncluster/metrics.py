@@ -10,7 +10,7 @@ value numeric in CSV output.
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, WrongKError
+from .errors import DomainError, ValidationError, WrongKError, as_floats, as_indices, as_real
 from .linalg import polar_decompose
 
 # Stand-in for log(0): below the log of the smallest positive double.
@@ -36,8 +36,8 @@ def exact_recovery(est_labels, true_labels, big_k):
     Returns:
         bool.
     """
-    est = np.asarray(est_labels, dtype=np.int64)
-    true = np.asarray(true_labels, dtype=np.int64)
+    est = as_indices(est_labels, "est_labels")
+    true = as_indices(true_labels, "true_labels")
     if est.shape != true.shape or est.ndim != 1:
         raise ValidationError("label arrays must be 1-d and the same length")
     for arr in (est, true):
@@ -62,7 +62,7 @@ def sync_error(est_transforms, gt):
     Returns:
         float.
     """
-    est = np.asarray(est_transforms, dtype=np.float64)
+    est = as_floats(est_transforms, "est_transforms")
     if est.shape != gt.transforms.shape:
         raise ValidationError("estimates must be an (n, d, d) stack matching the truth")
     worst = 0.0
@@ -80,8 +80,10 @@ def sync_error(est_transforms, gt):
     return max(float(np.log(worst / np.sqrt(gt.d))), LOG_ZERO_FLOOR)
 
 
-def _check_n_d(n, d):
-    """The node count and block size every form of the statistic needs."""
+def _check_arguments(n, d, **reals):
+    """Every argument a real number, n >= 2 and d >= 1, as every form of the statistic needs."""
+    for name, value in dict(n=n, d=d, **reals).items():
+        as_real(value, name)
     if n < 2:
         raise ValidationError("n must be at least 2")
     if d < 1:
@@ -107,7 +109,7 @@ def eta(n, p, q, d):
         DomainError: p == 0 (the statistic diverges).
         ValidationError: any argument outside its range.
     """
-    _check_n_d(n, d)
+    _check_arguments(n, d, p=p, q=q)
     if not 0.0 <= q <= 1.0:
         raise ValidationError("q must lie in [0, 1]")
     if not 0.0 <= p <= 1.0:
@@ -130,7 +132,7 @@ def beta_for_eta(target, alpha, n, d):
         ValidationError: n < 2, d < 1, or the implied q leaves [0, 1] or
             p leaves (0, 1].
     """
-    _check_n_d(n, d)
+    _check_arguments(n, d, target=target, alpha=alpha)
     if target < 0:
         raise ValidationError("target statistic must be non-negative")
     log_n = np.log(n)
@@ -160,7 +162,7 @@ def alpha_for_eta(target, beta, n, d):
         ValidationError: n < 2, d < 1, or no p in (0, 1] attains the
             target.
     """
-    _check_n_d(n, d)
+    _check_arguments(n, d, target=target, beta=beta)
     if target <= 0:
         raise ValidationError("target statistic must be positive")
     log_n = np.log(n)

@@ -27,7 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ParseError, ValidationError, as_index, as_real, as_values
+from .errors import (
+    NonFiniteError, ParseError, ValidationError, as_floats, as_index, as_indices, as_real,
+    as_values,
+)
 from .linalg import haar_from_normals
 
 # Named stream keys. Each consumer of randomness owns one key so streams
@@ -51,6 +54,9 @@ _MATVEC_TILE_ELEMS = 1 << 14
 # so a size over this fails with ValidationError before anything is
 # allocated, not with an out-of-memory kill partway through.
 _DENSE_NOISE_BUDGET_BYTES = 1 << 30
+
+# Largest n whose pair keys i*n + j < n**2 fit int64: isqrt(2**63 - 1).
+_MAX_NODES = 3_037_000_499
 
 _MAGIC = b"JSYN"
 _FORMAT_VERSION = 1
@@ -146,9 +152,11 @@ class GroundTruth:
     sizes: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        transforms = np.asarray(self.transforms, dtype=np.float64)
-        sizes = np.asarray(self.sizes, dtype=np.int64)
+        for name in ("n", "K", "d"):
+            object.__setattr__(self, name, as_index(getattr(self, name), name))
+        labels = as_indices(self.labels, "labels")
+        transforms = as_floats(self.transforms, "transforms")
+        sizes = as_indices(self.sizes, "sizes")
         if self.n < 1:
             raise ValidationError("n must be at least 1")
         if labels.shape != (self.n,):
@@ -177,12 +185,12 @@ class SparseBlockMatrix:
     """Symmetric n x n matrix of d x d blocks, sparse by block.
 
     Only blocks (i, j) with i < j are stored, as matching rows of pairs and
-    data, sorted by (i, j); block (j, i) is the transpose and diagonal
-    blocks are zero. The backing arrays are marked read-only at
-    construction, so instances are safe to share. Input already strictly
-    increasing in (i, j) is not re-sorted; copy=False then keeps the
-    caller's arrays (when C-contiguous and of the right dtype) instead of
-    copying them, for callers that hold no other reference to them.
+    data sorted by the key i*n + j (n <= isqrt(2**63 - 1): keys fit int64);
+    block (j, i) is the transpose and diagonal blocks are zero. The backing
+    arrays are read-only, so instances are safe to share. Input whose keys
+    strictly increase is not re-sorted; copy=False then keeps the caller's
+    arrays (when C-contiguous and of the right dtype) instead of copying
+    them, for callers that hold no other reference to them.
     """
 
     def __init__(self, n, d, pairs, data, *, copy=True):
@@ -190,8 +198,10 @@ class SparseBlockMatrix:
         self.d = as_index(d, "d")
         if self.n < 1 or self.d < 1:
             raise ValidationError("n and d must be at least 1")
-        pairs = _as_indices(pairs, "pair indices")
-        data = np.ascontiguousarray(data, dtype=np.float64)
+        if self.n > _MAX_NODES:
+            raise ValidationError(f"n must be at most {_MAX_NODES}, so that pair keys fit int64")
+        pairs = as_indices(pairs, "pair indices")
+        data = np.ascontiguousarray(as_floats(data, "data"))
         if pairs.size % 2 or (pairs.ndim > 1 and pairs.shape[-1] != 2):
             raise ValidationError("pairs must hold (i, j) index pairs")
         pairs = pairs.reshape(-1, 2)
@@ -205,18 +215,16 @@ class SparseBlockMatrix:
                 raise ValidationError("pair indices must lie in 0..n-1")
             if (pairs[:, 0] >= pairs[:, 1]).any():
                 raise ValidationError("every stored pair must satisfy i < j")
-        # Pairs strictly increasing in (i, j) are sorted and distinct already;
-        # anything else is sorted here, and only then can it hold duplicates.
-        step_i = np.diff(pairs[:, 0])
-        if ((step_i > 0) | ((step_i == 0) & (np.diff(pairs[:, 1]) > 0))).all():
-            if copy:
-                pairs, data = pairs.copy(), data.copy()
-        else:
-            order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-            pairs, data = pairs[order], data[order]
-            same = (np.diff(pairs[:, 0]) == 0) & (np.diff(pairs[:, 1]) == 0)
-            if same.any():
+        # Strictly increasing keys are sorted and distinct already; anything
+        # else is sorted here, and only then can it hold duplicates.
+        key = pairs[:, 0] * self.n + pairs[:, 1]
+        if not (np.diff(key) > 0).all():
+            order = np.argsort(key)
+            if (np.diff(key[order]) == 0).any():
                 raise ValidationError("duplicate block pair")
+            pairs, data = pairs[order], data[order]
+        elif copy:
+            pairs, data = pairs.copy(), data.copy()
         pairs.flags.writeable = False
         data.flags.writeable = False
         self.pairs = pairs
@@ -289,7 +297,7 @@ class SparseBlockMatrix:
         are read in place; only scattered ones are gathered, through
         np.take. The full square matrix is never formed.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = as_floats(x, "operand")
         single = x.ndim == 1
         if single:
             x = x[:, None]
@@ -320,7 +328,7 @@ class SparseBlockMatrix:
         orientation of stored blocks) is preserved. Integral floats pass as
         indices; other non-integers raise ValidationError.
         """
-        nodes = np.unique(_as_indices(nodes, "node indices"))
+        nodes = np.unique(as_indices(nodes, "node indices"))
         if nodes.size == 0:
             raise ValidationError("nodes must be non-empty")
         if nodes.min() < 0 or nodes.max() >= self.n:
@@ -330,21 +338,6 @@ class SparseBlockMatrix:
         mapped = lookup[self.pairs]
         keep = (mapped >= 0).all(axis=1)
         return SparseBlockMatrix(nodes.size, self.d, mapped[keep], self.data[keep], copy=False)
-
-
-def _as_indices(values, what):
-    """values as a C-contiguous int64 array.
-
-    Integers and integral floats pass; anything else (fractions, booleans,
-    strings, None) raises ValidationError rather than being truncated or
-    failing inside numpy.
-    """
-    given = np.asarray(values)
-    if given.dtype.kind in "iuf":
-        indices = np.ascontiguousarray(given, dtype=np.int64)
-        if given.dtype.kind != "f" or np.array_equal(indices, given):
-            return indices
-    raise ValidationError(f"{what} must be integers")
 
 
 def _as_run(idx):
@@ -430,8 +423,9 @@ def generate_observation(gt, p, q, source):
     block of the pair triangle, a <= b in order, the presence stream gives
     a Binomial(total, p or q) count and then that many distinct ranks among
     the block's total pairs, unranked to (i, j) by divmod (a < b) or the
-    triangle inverse (a == b). Impostor blocks come from the cross stream
-    in the sorted order of the cross pairs.
+    triangle inverse (a == b); one sort of their keys i*n + j orders them.
+    Impostor blocks come from the cross stream in the sorted order of the
+    cross pairs.
 
     Args:
         gt: GroundTruth.
@@ -450,7 +444,7 @@ def generate_observation(gt, p, q, source):
     sizes = gt.sizes.tolist()
     members = np.split(np.argsort(gt.labels, kind="stable"), np.cumsum(sizes)[:-1])
     rng = source.stream(_STREAM_PRESENCE)
-    i_parts, j_parts = [], []
+    keys = []
     for a in range(gt.K):
         for b in range(a, gt.K):
             total = sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b]
@@ -461,11 +455,8 @@ def generate_observation(gt, p, q, source):
             else:
                 x, y = np.divmod(ranks, sizes[b])
             u, v = members[a][x], members[b][y]
-            i_parts.append(np.minimum(u, v))
-            j_parts.append(np.maximum(u, v))
-    i_arr, j_arr = np.concatenate(i_parts), np.concatenate(j_parts)
-    order = np.lexsort((j_arr, i_arr))
-    i_arr, j_arr = i_arr[order], j_arr[order]
+            keys.append(np.minimum(u, v) * n + np.maximum(u, v))
+    i_arr, j_arr = np.divmod(np.sort(np.concatenate(keys)), n)
 
     within = gt.labels[i_arr] == gt.labels[j_arr]
     data = np.empty((i_arr.size, d, d))
@@ -522,15 +513,15 @@ def add_gaussian_noise(a, sigma, source):
         return a
     n, d = a.n, a.d
     _check_dense_noise_budget(n, d)
-    i_arr, j_arr = np.triu_indices(n, k=1)
-    data = source.stream(_STREAM_NOISE).standard_normal((i_arr.size, d, d))
+    pairs = np.column_stack(np.triu_indices(n, k=1))
+    data = source.stream(_STREAM_NOISE).standard_normal((pairs.shape[0], d, d))
     data *= sigma
     if a.pair_count:
         # Canonical position of each stored pair among all pairs.
         i0, j0 = a.pairs[:, 0], a.pairs[:, 1]
         slots = i0 * (2 * n - i0 - 1) // 2 + (j0 - i0 - 1)
-        data[slots] += a.data
-    pairs = np.column_stack((i_arr, j_arr))
+        # In place; data[slots] += a.data would first gather a copy of them.
+        np.add.at(data, slots, a.data)
     return SparseBlockMatrix(n, d, pairs, data, copy=False)
 
 
@@ -597,8 +588,8 @@ def save_labeling(path, K, labels, transforms):
     (i, i, O_i) triplet per node carrying the transforms. Unlike GroundTruth
     this tolerates empty clusters, so recovered estimates can be stored too.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    transforms = np.asarray(transforms, dtype=np.float64)
+    labels = as_indices(labels, "labels")
+    transforms = as_floats(transforms, "transforms")
     if labels.ndim != 1:
         raise ValidationError("labels must be a 1-d array")
     n = labels.shape[0]

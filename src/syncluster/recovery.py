@@ -16,6 +16,7 @@ import numpy as np
 from .eigensolver import top_eigenpairs
 from .errors import ValidationError, as_index, as_real
 from .linalg import polar_decompose
+from .model import SparseBlockMatrix
 
 # Block columns with total norm below this are treated as all-zero: the
 # node gets cluster 1, the identity transform, and confidence 0.
@@ -199,9 +200,9 @@ def refine_transforms(a, result, cfg=None):
     That graph keeps the observed pairs whose two ends share a label, so
     its components never cross a cluster. Each component's nodes take the
     polar factors of their d x d blocks of the top-d eigenvectors of the
-    observation matrix restricted to that component. On a noiseless
-    instance with correctly recovered, connected clusters this recovers
-    every transform exactly (up to the inherent per-cluster global factor).
+    observation matrix restricted to that component, all cut by one O(m)
+    split of the pairs. On noiseless, correctly recovered, connected
+    clusters this is exact (up to the inherent per-cluster global factor).
     Empty clusters, then clusters split into several components, are
     flagged; each component keeps its own arbitrary global factor.
 
@@ -223,16 +224,29 @@ def refine_transforms(a, result, cfg=None):
     if labels.shape != (a.n,) or labels.min() < 1 or labels.max() > result.cluster_count:
         raise ValidationError("labels must give each node of a a cluster in 1..cluster_count")
     nonempty = np.count_nonzero(np.bincount(labels))
-    components = _components(a.n, a.pairs[np.equal(*labels[a.pairs].T)])
+    within = np.flatnonzero(np.equal(*labels[a.pairs].T))
+    components = _components(a.n, a.pairs[within])
+    count = components.max() + 1
     flags = tuple(result.flags)
     if nonempty < result.cluster_count and FLAG_EMPTY_CLUSTER not in flags:
         flags = flags + (FLAG_EMPTY_CLUSTER,)
-    if components.max() >= nonempty and FLAG_DISCONNECTED_CLUSTER not in flags:
+    if count > nonempty and FLAG_DISCONNECTED_CLUSTER not in flags:
         flags = flags + (FLAG_DISCONNECTED_CLUSTER,)
     transforms = result.transforms.copy()
-    order = np.argsort(components, kind="stable")
-    for nodes in np.split(order, np.cumsum(np.bincount(components))[:-1]):
-        # Inline, so each restricted matrix is freed before the next is built.
-        vectors = top_eigenpairs(a.restrict(nodes), d, cfg).vectors
+    # Stable splits keep each component's pairs, and their local ranks, in key
+    # order; each matrix is built inline, so it is freed before the next one.
+    local = np.empty(a.n, dtype=np.int64)
+    first = components[a.pairs[within, 0]]
+    for nodes, group in zip(_split_by(components, count), _split_by(first, count)):
+        local[nodes] = np.arange(nodes.size)
+        picked = within[group]
+        vectors = top_eigenpairs(SparseBlockMatrix(
+            nodes.size, d, local[a.pairs[picked]], a.data[picked], copy=False), d, cfg).vectors
         transforms[nodes] = polar_decompose(vectors.reshape(-1, d, d))
     return replace(result, transforms=transforms, flags=flags)
+
+
+def _split_by(ids, count):
+    """Positions of ids grouped by value 0..count-1, ascending in each group."""
+    order = np.argsort(ids, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(ids, minlength=count))[:-1])

@@ -1,19 +1,26 @@
 """Typed errors at the boundaries: integer and real arguments are checked, never truncated."""
 
+import os
+
 import numpy as np
 import pytest
 
-from syncluster.cpqr import blockwise_cpqr
+from syncluster.cpqr import apply_block_permutation, blockwise_cpqr
 from syncluster.eigensolver import SolverConfig, top_eigenpairs
 from syncluster.errors import ValidationError
 from syncluster.harness import SweepSpec, run_sweep
+from syncluster.linalg import polar_decompose
+from syncluster.metrics import alpha_for_eta, beta_for_eta, eta, exact_recovery, sync_error
 from syncluster.model import (
+    GroundTruth,
     ModelParams,
     RandomSource,
+    SparseBlockMatrix,
     add_gaussian_noise,
     generate_ground_truth,
     generate_instance,
     generate_observation,
+    save_labeling,
 )
 from syncluster.recovery import assign_and_extract, refine_clusters
 
@@ -35,6 +42,11 @@ def _truth():
     return generate_ground_truth(ModelParams(n=12, K=2, d=2, p=1.0, q=0.0, seed=1))
 
 
+def _ground_truth(**kw):
+    base = dict(n=3, K=2, d=1, labels=[1, 2, 1], transforms=np.ones((3, 1, 1)), sizes=[2, 1])
+    return GroundTruth(**{**base, **kw})
+
+
 def _refine_clusters(fraction):
     factors = _factors()
     return refine_clusters(factors, assign_and_extract(factors, 2, 2), fraction)
@@ -50,6 +62,10 @@ def _refine_clusters(fraction):
     ("seed", lambda: RandomSource(1.5)),
     ("key", lambda: RandomSource(1).stream(1.5)),
     ("k", lambda: top_eigenpairs(_instance(), 2.7)),
+    pytest.param("n", lambda: _spec(n="20").validate(), id="n-SweepSpec"),
+    pytest.param("n", lambda: _ground_truth(n="3"), id="n-GroundTruth"),
+    pytest.param("K", lambda: _ground_truth(K=2.0), id="K-GroundTruth"),
+    pytest.param("d", lambda: _ground_truth(d=None), id="d-GroundTruth"),
 ])
 def test_non_integer_arguments_fail_typed_and_named(name, call):
     with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
@@ -77,6 +93,12 @@ def test_non_integer_arguments_fail_typed_and_named(name, call):
                  id="q-generate_observation"),
     pytest.param("sigma", lambda: add_gaussian_noise(_instance(), "0.3", RandomSource(1)),
                  id="sigma-add_gaussian_noise"),
+    pytest.param("n", lambda: eta("400", 0.1, 0.1, 2), id="n-eta"),
+    pytest.param("q", lambda: eta(400, 0.1, [0.1], 2), id="q-eta"),
+    pytest.param("d", lambda: beta_for_eta(0.5, 8.0, 400, "2"), id="d-beta_for_eta"),
+    pytest.param("alpha", lambda: beta_for_eta(0.5, "8", 400, 2), id="alpha-beta_for_eta"),
+    pytest.param("target", lambda: alpha_for_eta("0.5", 2.0, 400, 2), id="target-alpha_for_eta"),
+    pytest.param("beta", lambda: alpha_for_eta(0.5, None, 400, 2), id="beta-alpha_for_eta"),
 ])
 def test_non_real_settings_fail_typed_and_named(name, call):
     with pytest.raises(ValidationError, match=f"^{name} must be a real number"):
@@ -94,4 +116,41 @@ def test_non_real_settings_fail_typed_and_named(name, call):
 ])
 def test_bare_numbers_on_axis_fields_fail_typed_and_named(name, call):
     with pytest.raises(ValidationError, match=f"^{name} must be a sequence of values"):
+        call()
+
+
+@pytest.mark.parametrize("name, call", [
+    pytest.param("x", lambda: polar_decompose("abc"), id="polar_decompose"),
+    pytest.param("x", lambda: polar_decompose(np.eye(2) * (1 + 1j)), id="complex-polar_decompose"),
+    pytest.param("x", lambda: blockwise_cpqr([["a", "b"]], 1), id="blockwise_cpqr"),
+    pytest.param("data", lambda: SparseBlockMatrix(3, 1, [[0, 1]], ["one"]),
+                 id="SparseBlockMatrix"),
+    pytest.param("operand", lambda: _instance().matvec(["x"] * 24), id="matvec"),
+    pytest.param("est_transforms", lambda: sync_error(np.full((12, 2, 2), "a"), _truth()),
+                 id="sync_error"),
+    pytest.param("transforms", lambda: _ground_truth(transforms=[[["a"]]] * 3), id="GroundTruth"),
+    pytest.param("transforms", lambda: save_labeling(os.devnull, 2, [1, 2], "abc"),
+                 id="save_labeling"),
+])
+def test_non_numeric_arrays_fail_typed_and_named(name, call):
+    with pytest.raises(ValidationError, match=f"^{name} must hold real numbers"):
+        call()
+
+
+@pytest.mark.parametrize("name, call", [
+    pytest.param("est_labels", lambda: exact_recovery([1.5, 2.7, 1.2], [1, 2, 1], 2),
+                 id="est_labels-exact_recovery"),
+    pytest.param("true_labels", lambda: exact_recovery([1, 2, 1], [1.5, 2.7, 1.2], 2),
+                 id="true_labels-exact_recovery"),
+    pytest.param("labels", lambda: _ground_truth(labels=[1.5, 2.0, 1.0]), id="labels-GroundTruth"),
+    pytest.param("sizes", lambda: _ground_truth(sizes=[2.5, 1.0]), id="sizes-GroundTruth"),
+    pytest.param("labels", lambda: save_labeling(os.devnull, 2, [1.5, 2.0], np.ones((2, 1, 1))),
+                 id="labels-save_labeling"),
+    pytest.param("perm", lambda: apply_block_permutation(np.eye(2), [0.5, 1.2]),
+                 id="perm-apply_block_permutation"),
+    pytest.param("est_labels", lambda: exact_recovery([[1, 2], [1]], [1, 2], 2),
+                 id="ragged-est_labels-exact_recovery"),
+])
+def test_non_integral_labels_fail_typed_and_named(name, call):
+    with pytest.raises(ValidationError, match=f"^{name} must be integers"):
         call()

@@ -478,6 +478,17 @@ def test_config_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ParseError, match="lo:hi:steps"):
         load_config(path)
 
+    for line, reason in [
+        ("n_list = 200,4x0", "invalid literal for int"),
+        ("eta = 0.5,half", "could not convert string to float"),
+        ("beta = 0:1:0", "steps must be at least 1"),
+        ("zero_timings = yes", "invalid literal for int"),
+    ]:
+        path.write_text(f"mode = runtime\n{line}\n")
+        key = line.split(" ")[0]
+        with pytest.raises(ParseError, match=rf"bad\.conf:2: invalid value for '{key}': {reason}"):
+            load_config(path)
+
 
 def test_config_requires_mode(tmp_path):
     path = tmp_path / "empty.conf"
@@ -515,7 +526,15 @@ def test_bundled_configs_load_and_resolve():
     found = {path.stem for path in configs.glob("*.conf")} - {"instance"}
     assert found == set(expected)
     for name, count in expected.items():
-        assert len(resolve_cells(load_config(configs / f"{name}.conf"))) == count, name
+        assert len(load_config(configs / f"{name}.conf").validate()) == count, name
+
+
+def test_run_pipeline_rejects_an_unknown_refine_mode():
+    # An unknown mode used to skip both refinements without a word.
+    params = syncluster.ModelParams(n=12, K=2, d=2, p=1.0, q=0.0, seed=1)
+    _, a = syncluster.generate_instance(params)
+    with pytest.raises(ValidationError, match="^refine must be one of none/clusters/transforms/both"):
+        harness.run_pipeline(a, 2, 2, syncluster.SolverConfig(seed=1), "Both")
 
 
 def test_import_and_solve_never_load_scipy():

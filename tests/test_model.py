@@ -360,6 +360,23 @@ def test_sparse_matrix_validates_pairs():
     a = SparseBlockMatrix(3, 1, np.array([[1, 2], [0, 2], [0, 1]]), np.arange(3.0))
     assert np.array_equal(a.pairs, [[0, 1], [0, 2], [1, 2]])
     assert np.array_equal(a.data.ravel(), [2.0, 1.0, 0.0])
+    # Interleaved i columns sort by the key i*n + j: (0, 4) before (1, 2),
+    # though 4 > 2, and (2, 3) last.
+    pairs = np.array([[1, 2], [0, 4], [2, 3], [0, 1], [1, 4]])
+    a = SparseBlockMatrix(5, 1, pairs, np.arange(5.0))
+    assert np.array_equal(a.pairs, [[0, 1], [0, 4], [1, 2], [1, 4], [2, 3]])
+    assert np.array_equal(a.data.ravel(), [3.0, 1.0, 0.0, 4.0, 2.0])
+
+
+def test_sparse_matrix_bounds_n_so_pair_keys_fit_int64():
+    top = 3_037_000_499  # isqrt(2**63 - 1)
+    with pytest.raises(ValidationError, match="^n must be at most 3037000499"):
+        SparseBlockMatrix(top + 1, 1, np.array([[0, 1]]), np.zeros(1))
+    pairs = np.array([[top - 3, top - 1], [top - 2, top - 1], [0, top - 2], [top - 3, top - 2]])
+    a = SparseBlockMatrix(top, 1, pairs, np.arange(4.0))
+    assert np.array_equal(a.pairs, [[0, top - 2], [top - 3, top - 2], [top - 3, top - 1],
+                                    [top - 2, top - 1]])
+    assert np.array_equal(a.data.ravel(), [2.0, 3.0, 0.0, 1.0])
 
 
 def test_sparse_matrix_copies_sorted_input_unless_told_not_to():

@@ -369,7 +369,7 @@ def test_refine_transforms_maps_interleaved_components_back_to_their_nodes():
     _assert_solved_per_component(a, refined, transforms, cliques + (np.array([9]),))
 
 
-def test_refine_transforms_splits_every_cluster_and_flags_empty_first():
+def _split_clusters_case():
     # Clusters 1 and 2 each hold two interleaved cliques, cluster 3 owns no
     # node, and cross-cluster pairs chain all four cliques together: only
     # the pairs inside a cluster may join a component.
@@ -378,8 +378,26 @@ def test_refine_transforms_splits_every_cluster_and_flags_empty_first():
     cross = ((0, 1), (1, 2), (2, 3), (7, 8))
     transforms, a = _clique_matrix(12, d, cliques, seed=23, cross=cross)
     labels = np.where(np.arange(12) % 2, 2, 1)
-    refined = refine_transforms(a, _identity_result(labels, d, 3))
+    return a, _identity_result(labels, d, 3), transforms, cliques
+
+
+def test_refine_transforms_splits_every_cluster_and_flags_empty_first():
+    a, result, transforms, cliques = _split_clusters_case()
+    refined = refine_transforms(a, result)
     assert refined.flags == (FLAG_EMPTY_CLUSTER, FLAG_DISCONNECTED_CLUSTER)
+    _assert_solved_per_component(a, refined, transforms, cliques)
+
+
+def test_refine_transforms_cuts_components_without_restrict(monkeypatch):
+    # One split of the stored pairs gives every component's matrix; the
+    # O(m) restrict per component is never called.
+    def refuse(self, nodes):
+        raise AssertionError("refine_transforms called restrict")
+
+    a, result, transforms, cliques = _split_clusters_case()
+    monkeypatch.setattr(SparseBlockMatrix, "restrict", refuse)
+    refined = refine_transforms(a, result)
+    monkeypatch.undo()
     _assert_solved_per_component(a, refined, transforms, cliques)
 
 
