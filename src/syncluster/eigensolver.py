@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergenceError, ValidationError, as_index, as_real
+from .errors import (
+    NoConvergenceError, NonFiniteError, ValidationError, as_floats, as_index, as_real,
+)
 from .model import _STREAM_SOLVER, RandomSource
 
 # Ritz gap below this multiple of the largest magnitude flags a basis
@@ -104,13 +106,19 @@ def _expand_basis(v, candidate, rng):
     return q[:, ~dead]
 
 
-def top_eigenpairs(a, k, cfg=None):
+def top_eigenpairs(a, k, cfg=None, start=None):
     """Eigenpairs of the k largest algebraic eigenvalues.
+
+    The starting block is drawn from the seeded stream. A warm start
+    overwrites its first j columns, and the rest stay random padding, so
+    the stream is consumed the same way with or without one.
 
     Args:
         a: SparseBlockMatrix (symmetric by construction).
         k: number of eigenpairs, 1 <= k <= n*d.
         cfg: SolverConfig; defaults apply when omitted.
+        start: optional (n*d, j) block, 1 <= j <= k, whose columns span a
+            guess at the wanted eigenspace.
 
     Returns:
         EigenBasis with vectors (n*d, k) and values sorted non-increasing.
@@ -118,7 +126,9 @@ def top_eigenpairs(a, k, cfg=None):
     Raises:
         NoConvergenceError: the residual is still above tolerance after
             max_iterations; the error carries the best iterate in .best.
-        ValidationError: k out of range or bad config.
+        ValidationError: k out of range, bad config, or a start block
+            of the wrong shape.
+        NonFiniteError: start contains NaN or Inf.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -126,6 +136,12 @@ def top_eigenpairs(a, k, cfg=None):
     k = as_index(k, "k")
     if not 1 <= k <= nd:
         raise ValidationError(f"k must lie in 1..{nd}")
+    if start is not None:
+        start = as_floats(start, "start")
+        if start.ndim != 2 or start.shape[0] != nd or not 1 <= start.shape[1] <= k:
+            raise ValidationError(f"start must be an ({nd}, j) block with 1 <= j <= {k}")
+        if not np.isfinite(start).all():
+            raise NonFiniteError("start contains NaN or Inf entries")
     # A block Krylov space resolves at most b directions of any one
     # eigenvalue, so one column past the requested count keeps the value
     # past the cut (and with it the degenerate-gap certificate) visible even
@@ -141,7 +157,10 @@ def top_eigenpairs(a, k, cfg=None):
     # 2^k multiple of A, and the values are scaled back on the way out.
     peak = max(a.data.max(initial=0.0), -a.data.min(initial=0.0))
     exponent = int(np.frexp(peak)[1])
-    v, _ = np.linalg.qr(rng.standard_normal((nd, b)))
+    block = rng.standard_normal((nd, b))
+    if start is not None:
+        block[:, : start.shape[1]] = start
+    v, _ = np.linalg.qr(block)
     av = np.ldexp(a.matvec(v), -exponent)
     best = None
     for iteration in range(1, cfg.max_iterations + 1):

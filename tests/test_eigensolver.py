@@ -164,6 +164,29 @@ def test_full_width_miss_raises_immediately():
         top_eigenpairs(a, a.nd, cfg)
 
 
+def test_exact_eigenbasis_start_converges_at_once():
+    # A start that already spans the top eigenspace leaves the solver only
+    # the pair past the cut to certify; from a random block it takes 12
+    # iterations.
+    gt, a = _instance(4, 40, 2, 2, 8, 1)
+    want_vals, want_vecs = oracles.dense_top_eigenpairs(oracles.dense(a), 4)
+    cold = top_eigenpairs(a, 4, SolverConfig(seed=1))
+    warm = top_eigenpairs(a, 4, SolverConfig(seed=1), start=want_vecs)
+    assert cold.iterations > 2
+    assert warm.iterations <= 2
+    assert np.abs(warm.values - want_vals).max() <= 1e-12 * abs(want_vals[0])
+    assert oracles.projector_distance(warm.vectors, want_vecs) <= 1e-12
+
+
+def test_partial_start_still_finds_the_whole_eigenspace():
+    # A start of j < k columns leaves the other k - j to the random padding.
+    gt, a = _instance(4, 40, 2, 2, 8, 1)
+    want_vals, want_vecs = oracles.dense_top_eigenpairs(oracles.dense(a), 4)
+    warm = top_eigenpairs(a, 4, SolverConfig(seed=1), start=want_vecs[:, :1])
+    assert np.abs(warm.values - want_vals).max() <= 1e-8 * abs(want_vals[0])
+    assert oracles.projector_distance(warm.vectors, want_vecs) <= 1e-6
+
+
 def test_k_out_of_range_rejected():
     gt, a = _instance(9, 6, 2, 2, 8, 0)
     with pytest.raises(ValidationError):

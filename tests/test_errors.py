@@ -7,7 +7,7 @@ import pytest
 
 from syncluster.cpqr import apply_block_permutation, blockwise_cpqr
 from syncluster.eigensolver import SolverConfig, top_eigenpairs
-from syncluster.errors import ValidationError
+from syncluster.errors import NonFiniteError, ValidationError
 from syncluster.harness import SweepSpec, run_sweep
 from syncluster.linalg import polar_decompose
 from syncluster.metrics import alpha_for_eta, beta_for_eta, eta, exact_recovery, sync_error
@@ -131,6 +131,8 @@ def test_bare_numbers_on_axis_fields_fail_typed_and_named(name, call):
     pytest.param("transforms", lambda: _ground_truth(transforms=[[["a"]]] * 3), id="GroundTruth"),
     pytest.param("transforms", lambda: save_labeling(os.devnull, 2, [1, 2], "abc"),
                  id="save_labeling"),
+    pytest.param("start", lambda: top_eigenpairs(_instance(), 4, start=np.ones((24, 2)) * 1j),
+                 id="complex-start-top_eigenpairs"),
 ])
 def test_non_numeric_arrays_fail_typed_and_named(name, call):
     with pytest.raises(ValidationError, match=f"^{name} must hold real numbers"):
@@ -154,3 +156,18 @@ def test_non_numeric_arrays_fail_typed_and_named(name, call):
 def test_non_integral_labels_fail_typed_and_named(name, call):
     with pytest.raises(ValidationError, match=f"^{name} must be integers"):
         call()
+
+
+@pytest.mark.parametrize("shape", [(23, 2), (24, 5), (24, 0), (24,), (24, 2, 1)])
+def test_misshapen_start_blocks_fail_typed(shape):
+    # A start must be an (n*d, j) block with 1 <= j <= k = 4.
+    with pytest.raises(ValidationError, match=r"^start must be an \(24, j\) block"):
+        top_eigenpairs(_instance(), 4, start=np.ones(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_start_blocks_fail_typed(bad):
+    start = np.ones((24, 2))
+    start[3, 1] = bad
+    with pytest.raises(NonFiniteError, match="^start contains NaN or Inf"):
+        top_eigenpairs(_instance(), 4, start=start)

@@ -537,6 +537,32 @@ def test_run_pipeline_rejects_an_unknown_refine_mode():
         harness.run_pipeline(a, 2, 2, syncluster.SolverConfig(seed=1), "Both")
 
 
+@pytest.mark.parametrize("refine, loose", [
+    ("none", False), ("clusters", False), ("transforms", True), ("both", True),
+])
+def test_global_solve_is_loose_only_when_transforms_are_resolved(monkeypatch, refine, loose):
+    # The global basis feeds the output transforms under none and clusters,
+    # so it keeps the configured tolerance; under transforms and both it
+    # only feeds labels and runs to the square root. Restricted solves keep
+    # the configured tolerance either way.
+    params = syncluster.ModelParams(n=24, K=2, d=2, p=1.0, q=0.0, seed=1)
+    _, a = syncluster.generate_instance(params)
+    cfg = syncluster.SolverConfig(tolerance=1e-6, seed=1)
+    seen = {"global": [], "restricted": []}
+
+    def recording(kind):
+        def solve(a, k, cfg=None, start=None):
+            seen[kind].append(cfg.tolerance)
+            return syncluster.top_eigenpairs(a, k, cfg, start)
+        return solve
+
+    monkeypatch.setattr(harness, "top_eigenpairs", recording("global"))
+    monkeypatch.setattr(syncluster.recovery, "top_eigenpairs", recording("restricted"))
+    harness.run_pipeline(a, 2, 2, cfg, refine)
+    assert seen["global"] == [math.sqrt(cfg.tolerance) if loose else cfg.tolerance]
+    assert seen["restricted"] == ([cfg.tolerance] * 2 if loose else [])
+
+
 def test_import_and_solve_never_load_scipy():
     # scipy is a test-only extra; loading it would add its import time to
     # every process start.

@@ -6,10 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from syncluster import recovery
 from syncluster.cpqr import BlockCpqrFactors, blockwise_cpqr
-from syncluster.eigensolver import top_eigenpairs
+from syncluster.eigensolver import SolverConfig, top_eigenpairs
 from syncluster.errors import ValidationError
+from syncluster.harness import run_pipeline
 from syncluster.linalg import haar_from_normals, polar_decompose
+from syncluster.metrics import exact_recovery
 from syncluster.model import ModelParams, SparseBlockMatrix, generate_instance
 from syncluster.recovery import (
     FLAG_DISCONNECTED_CLUSTER,
@@ -309,6 +312,16 @@ def test_refine_transforms_exact_on_clean_instance():
     assert refined.flags == result.flags
 
 
+def test_pipeline_with_loose_global_solve_still_refines_to_tolerance():
+    # run_pipeline solves the global basis only to sqrt(tolerance) when it
+    # re-solves transforms; the restricted solves restore full accuracy.
+    gt, a, _, _ = _clean_recovery(24, 2, 3, seed=11)
+    _, result, _, flags = run_pipeline(a, 2, 3, SolverConfig(), "both")
+    assert exact_recovery(result.labels, gt.labels, 2)
+    assert oracles.sync_error_oracle(result.transforms, gt) <= np.log(1e-8)
+    assert flags == []
+
+
 def _clique_matrix(n, d, cliques, seed, cross=()):
     """Clean matrix holding every pair inside each clique, plus Haar cross pairs."""
     rng = _gen(seed)
@@ -323,15 +336,19 @@ def _clique_matrix(n, d, cliques, seed, cross=()):
     return transforms, SparseBlockMatrix(n=n, d=d, pairs=np.array(pairs), data=data)
 
 
-def _assert_solved_per_component(a, refined, truth, components):
+def _assert_solved_per_component(a, given, refined, truth, components):
     # Each component's transforms equal a solve restricted to exactly its
-    # own nodes of the full matrix, and match the truth up to one gauge.
+    # own nodes of the full matrix, started from their input transforms,
+    # and match the truth up to one gauge. A single node keeps its input.
     d = a.d
     for nodes in components:
-        blocks = top_eigenpairs(a.restrict(nodes), d).vectors.reshape(-1, d, d)
+        if nodes.size == 1:
+            assert np.array_equal(refined.transforms[nodes], given.transforms[nodes])
+            continue
+        start = given.transforms[nodes].reshape(-1, d)
+        blocks = top_eigenpairs(a.restrict(nodes), d, start=start).vectors.reshape(-1, d, d)
         assert np.array_equal(refined.transforms[nodes], polar_decompose(blocks))
-        if nodes.size > 1:
-            assert oracles.gauge_align_error(truth[nodes], refined.transforms[nodes]) <= 1e-7
+        assert oracles.gauge_align_error(truth[nodes], refined.transforms[nodes]) <= 1e-7
 
 
 def _identity_result(labels, d, cluster_count):
@@ -350,23 +367,36 @@ def test_refine_transforms_handles_disconnection_per_component():
     d = 2
     cliques = (np.arange(4), np.arange(4, 8))
     transforms, a = _clique_matrix(8, d, cliques, seed=21)
-    refined = refine_transforms(a, _identity_result(np.ones(8), d, 1))
+    given = _identity_result(np.ones(8), d, 1)
+    refined = refine_transforms(a, given)
     assert refined.flags == (FLAG_DISCONNECTED_CLUSTER,)
-    _assert_solved_per_component(a, refined, transforms, cliques)
+    _assert_solved_per_component(a, given, refined, transforms, cliques)
 
 
-def test_refine_transforms_maps_interleaved_components_back_to_their_nodes():
+def test_refine_transforms_maps_interleaved_components_back_to_their_nodes(monkeypatch):
     # Cluster 1 holds two interleaved cliques, {1, 4, 7, 10} and
     # {2, 5, 8, 11}, and the isolated node 9; cluster 2 is the clique
-    # {0, 3, 6}.
+    # {0, 3, 6}. Node 9 has no pair to solve: it keeps its input transform
+    # bit for bit and costs no eigensolve.
     d = 2
     cliques = (np.array([1, 4, 7, 10]), np.array([2, 5, 8, 11]), np.array([0, 3, 6]))
     transforms, a = _clique_matrix(12, d, cliques, seed=22)
     labels = np.ones(12, dtype=np.int64)
     labels[cliques[2]] = 2
-    refined = refine_transforms(a, _identity_result(labels, d, 2))
+    given = _identity_result(labels, d, 2)
+    given.transforms[9] = np.diag([1.0, -1.0])
+    sizes = []
+
+    def counted(sub, k, cfg=None, start=None):
+        sizes.append(sub.n)
+        return top_eigenpairs(sub, k, cfg, start)
+
+    monkeypatch.setattr(recovery, "top_eigenpairs", counted)
+    refined = refine_transforms(a, given)
+    monkeypatch.undo()
+    assert sorted(sizes) == [3, 4, 4]
     assert refined.flags == (FLAG_DISCONNECTED_CLUSTER,)
-    _assert_solved_per_component(a, refined, transforms, cliques + (np.array([9]),))
+    _assert_solved_per_component(a, given, refined, transforms, cliques + (np.array([9]),))
 
 
 def _split_clusters_case():
@@ -385,7 +415,7 @@ def test_refine_transforms_splits_every_cluster_and_flags_empty_first():
     a, result, transforms, cliques = _split_clusters_case()
     refined = refine_transforms(a, result)
     assert refined.flags == (FLAG_EMPTY_CLUSTER, FLAG_DISCONNECTED_CLUSTER)
-    _assert_solved_per_component(a, refined, transforms, cliques)
+    _assert_solved_per_component(a, result, refined, transforms, cliques)
 
 
 def test_refine_transforms_cuts_components_without_restrict(monkeypatch):
@@ -398,7 +428,7 @@ def test_refine_transforms_cuts_components_without_restrict(monkeypatch):
     monkeypatch.setattr(SparseBlockMatrix, "restrict", refuse)
     refined = refine_transforms(a, result)
     monkeypatch.undo()
-    _assert_solved_per_component(a, refined, transforms, cliques)
+    _assert_solved_per_component(a, result, refined, transforms, cliques)
 
 
 @pytest.mark.parametrize("count", [6, 13])
