@@ -237,8 +237,12 @@ def run_pipeline(a, big_k, d, cfg, refine="none", fraction=0.10):
         milliseconds; flags lists degeneracies observed.
 
     Raises:
-        ValidationError: refine is not one of REFINE_CHOICES.
+        ValidationError: big_k or d is not an integer, d is not a.d, or
+            refine is not one of REFINE_CHOICES.
     """
+    big_k, d = as_index(big_k, "big_k"), as_index(d, "d")
+    if d != a.d:
+        raise ValidationError(f"d must equal the matrix's block size {a.d}, got {d}")
     if refine not in REFINE_CHOICES:
         raise ValidationError(f"refine must be one of {'/'.join(REFINE_CHOICES)}")
     flags = []

@@ -10,7 +10,9 @@ value numeric in CSV output.
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, WrongKError, as_floats, as_indices, as_real
+from .errors import (
+    DomainError, ValidationError, WrongKError, as_floats, as_index, as_indices, as_real,
+)
 from .linalg import polar_decompose
 
 # Stand-in for log(0): below the log of the smallest positive double.
@@ -36,6 +38,7 @@ def exact_recovery(est_labels, true_labels, big_k):
     Returns:
         bool.
     """
+    big_k = as_index(big_k, "big_k")
     est = as_indices(est_labels, "est_labels")
     true = as_indices(true_labels, "true_labels")
     if est.shape != true.shape or est.ndim != 1:
@@ -204,9 +207,11 @@ def snr_ratio(factors, true_labels, d):
         raise ValidationError("d disagrees with the factorization's block size")
     if r.shape[0] != 2 * d:
         raise WrongKError("the ratio is defined for exactly two clusters")
-    labels = np.asarray(true_labels, dtype=np.int64)
+    labels = as_indices(true_labels, "true_labels")
     if labels.shape != (r.shape[1] // d,):
         raise ValidationError("true_labels must have one entry per node")
+    if not np.isin(labels, (1, 2)).all():
+        raise ValidationError("true_labels must lie in {1, 2}")
     norms = factors.block_row_norms()
     first = labels == 1
     if not first.any():

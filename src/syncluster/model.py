@@ -321,24 +321,6 @@ class SparseBlockMatrix:
         out = y.reshape(self.nd, c)
         return out[:, 0] if single else out
 
-    def restrict(self, nodes):
-        """Principal block submatrix on the given nodes, re-indexed 0..len-1.
-
-        Nodes are taken in ascending order, so relative order (and the i < j
-        orientation of stored blocks) is preserved. Integral floats pass as
-        indices; other non-integers raise ValidationError.
-        """
-        nodes = np.unique(as_indices(nodes, "node indices"))
-        if nodes.size == 0:
-            raise ValidationError("nodes must be non-empty")
-        if nodes.min() < 0 or nodes.max() >= self.n:
-            raise ValidationError("nodes out of range")
-        lookup = np.full(self.n, -1, dtype=np.int64)
-        lookup[nodes] = np.arange(nodes.size)
-        mapped = lookup[self.pairs]
-        keep = (mapped >= 0).all(axis=1)
-        return SparseBlockMatrix(nodes.size, self.d, mapped[keep], self.data[keep], copy=False)
-
 
 def _as_run(idx):
     """idx as a slice when it is an ascending contiguous run, else idx."""
@@ -525,6 +507,14 @@ def add_gaussian_noise(a, sigma, source):
     return SparseBlockMatrix(n, d, pairs, data, copy=False)
 
 
+def _header_k(K):
+    """K as an int the header's u32 holds, for the writers to check first."""
+    K = as_index(K, "K")
+    if not 1 <= K <= 2**32 - 1:
+        raise ValidationError("K must lie in 1..2**32 - 1, the header's u32 range")
+    return K
+
+
 def _write_header(fh, n, K, d, kind, count):
     fh.write(_MAGIC)
     fh.write(struct.pack("<6I", _FORMAT_VERSION, n, K, d, kind, count))
@@ -558,12 +548,13 @@ def save_matrix(path, a, K):
     (i u32, j u32, d*d f64 row-major). K travels in the header so a solver
     run can be reproduced from the file alone.
     """
+    K = _header_k(K)
     trip = np.empty(a.pair_count, dtype=_triplet_dtype(a.d))
     trip["i"] = a.pairs[:, 0]
     trip["j"] = a.pairs[:, 1]
     trip["block"] = a.data.reshape(a.pair_count, -1)
     with open(path, "wb") as fh:
-        _write_header(fh, a.n, int(K), a.d, _KIND_MATRIX, a.pair_count)
+        _write_header(fh, a.n, K, a.d, _KIND_MATRIX, a.pair_count)
         trip.tofile(fh)
 
 
@@ -588,6 +579,7 @@ def save_labeling(path, K, labels, transforms):
     (i, i, O_i) triplet per node carrying the transforms. Unlike GroundTruth
     this tolerates empty clusters, so recovered estimates can be stored too.
     """
+    K = _header_k(K)
     labels = as_indices(labels, "labels")
     transforms = as_floats(transforms, "transforms")
     if labels.ndim != 1:
@@ -603,7 +595,7 @@ def save_labeling(path, K, labels, transforms):
     trip["j"] = np.arange(n)
     trip["block"] = transforms.reshape(n, -1)
     with open(path, "wb") as fh:
-        _write_header(fh, n, int(K), d, _KIND_GROUND_TRUTH, n)
+        _write_header(fh, n, K, d, _KIND_GROUND_TRUTH, n)
         labels.astype("<u4").tofile(fh)
         trip.tofile(fh)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .eigensolver import top_eigenpairs
-from .errors import ValidationError, as_index, as_real
+from .errors import ValidationError, as_index, as_indices, as_real
 from .linalg import polar_decompose
 from .model import SparseBlockMatrix
 
@@ -160,6 +160,10 @@ def refine_clusters(factors, result, fraction=0.10):
 def connectivity_check(a, nodes):
     """Whether the observed-block graph restricted to `nodes` is connected.
 
+    One O(m) mask picks the stored pairs with both ends in `nodes` for
+    _components; no block is copied. Integral floats pass as indices;
+    other non-integers raise ValidationError.
+
     Args:
         a: SparseBlockMatrix.
         nodes: non-empty subset of 0..a.n-1.
@@ -168,8 +172,17 @@ def connectivity_check(a, nodes):
         (connected, components): components labels each entry of
         sorted(nodes) with its component id, 0-based, in first-seen order.
     """
-    sub = a.restrict(nodes)
-    components = _components(sub.n, sub.pairs)
+    nodes = np.unique(as_indices(nodes, "node indices"))
+    if nodes.size == 0:
+        raise ValidationError("nodes must be non-empty")
+    if nodes.min() < 0 or nodes.max() >= a.n:
+        raise ValidationError("nodes out of range")
+    inside = np.zeros(a.n, dtype=bool)
+    inside[nodes] = True
+    # Nodes outside have no pair left, so every component met here lies in
+    # nodes, and ranking its ids again numbers them in first-seen order.
+    ids = _components(a.n, a.pairs[inside[a.pairs].all(axis=1)])[nodes]
+    components = np.unique(ids, return_inverse=True)[1]
     return not components.any(), components
 
 

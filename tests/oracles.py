@@ -4,8 +4,9 @@ Every routine here deliberately takes a different computational route from
 the code under test: Gram-Schmidt projection instead of Householder
 reflections, dense LAPACK eigendecompositions instead of iterative Lanczos,
 scipy's polar/Procrustes instead of our SVD assembly, scipy's graph search
-instead of our label propagation, per-node cross-grams instead of Gram
-GEMMs against cluster sums, Decimal arithmetic instead of float64.
+instead of our label propagation, np.isin and np.searchsorted cuts instead
+of a mask and a split of the stored pairs, per-node cross-grams instead of
+Gram GEMMs against cluster sums, Decimal arithmetic instead of float64.
 Tests compare the two routes; neither is derived from the other. The one
 exception is quadratic_control_slope, a known-quadratic kernel that
 calibrates the runtime bench's slope fitter.
@@ -20,6 +21,7 @@ import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
 from syncluster.harness import _BENCH_REPS, fit_loglog_slope
+from syncluster.model import SparseBlockMatrix
 
 
 def scalar_cpqr_pivots(x):
@@ -241,6 +243,17 @@ def dense(a):
 
 def dense_matvec(dense, x):
     return dense @ x
+
+
+def principal_submatrix(a, nodes):
+    """Principal block sub-matrix of a on nodes, re-indexed 0..len-1 ascending.
+
+    Cuts the pairs as components_oracle does: np.isin keeps the pairs with
+    both ends in nodes and np.searchsorted renumbers their ends.
+    """
+    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+    keep = np.isin(a.pairs, nodes).all(axis=1)
+    return SparseBlockMatrix(nodes.size, a.d, np.searchsorted(nodes, a.pairs[keep]), a.data[keep])
 
 
 def components_oracle(a, nodes):

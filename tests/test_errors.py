@@ -8,9 +8,11 @@ import pytest
 from syncluster.cpqr import apply_block_permutation, blockwise_cpqr
 from syncluster.eigensolver import SolverConfig, top_eigenpairs
 from syncluster.errors import NonFiniteError, ValidationError
-from syncluster.harness import SweepSpec, run_sweep
+from syncluster.harness import SweepSpec, run_pipeline, run_sweep
 from syncluster.linalg import polar_decompose
-from syncluster.metrics import alpha_for_eta, beta_for_eta, eta, exact_recovery, sync_error
+from syncluster.metrics import (
+    alpha_for_eta, beta_for_eta, eta, exact_recovery, snr_ratio, sync_error,
+)
 from syncluster.model import (
     GroundTruth,
     ModelParams,
@@ -21,6 +23,7 @@ from syncluster.model import (
     generate_instance,
     generate_observation,
     save_labeling,
+    save_matrix,
 )
 from syncluster.recovery import assign_and_extract, refine_clusters
 
@@ -66,6 +69,17 @@ def _refine_clusters(fraction):
     pytest.param("n", lambda: _ground_truth(n="3"), id="n-GroundTruth"),
     pytest.param("K", lambda: _ground_truth(K=2.0), id="K-GroundTruth"),
     pytest.param("d", lambda: _ground_truth(d=None), id="d-GroundTruth"),
+    pytest.param("big_k", lambda: exact_recovery([1, 2], [1, 2], "2"), id="big_k-exact_recovery"),
+    pytest.param("big_k", lambda: run_pipeline(_instance(), "2", 2, SolverConfig()),
+                 id="big_k-run_pipeline"),
+    pytest.param("big_k", lambda: run_pipeline(_instance(), 2.0, 2, SolverConfig()),
+                 id="float-big_k-run_pipeline"),
+    pytest.param("d", lambda: run_pipeline(_instance(), 2, 2.0, SolverConfig()),
+                 id="d-run_pipeline"),
+    pytest.param("K", lambda: save_matrix(os.devnull, _instance(), "x"), id="K-save_matrix"),
+    pytest.param("K", lambda: save_matrix(os.devnull, _instance(), 2.7), id="K-float-save_matrix"),
+    pytest.param("K", lambda: save_labeling(os.devnull, "2", [1, 2], np.ones((2, 1, 1))),
+                 id="K-save_labeling"),
 ])
 def test_non_integer_arguments_fail_typed_and_named(name, call):
     with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
@@ -152,10 +166,33 @@ def test_non_numeric_arrays_fail_typed_and_named(name, call):
                  id="perm-apply_block_permutation"),
     pytest.param("est_labels", lambda: exact_recovery([[1, 2], [1]], [1, 2], 2),
                  id="ragged-est_labels-exact_recovery"),
+    pytest.param("true_labels", lambda: snr_ratio(_factors(), [1.4] * 6 + [2] * 6, 2),
+                 id="true_labels-snr_ratio"),
 ])
 def test_non_integral_labels_fail_typed_and_named(name, call):
     with pytest.raises(ValidationError, match=f"^{name} must be integers"):
         call()
+
+
+@pytest.mark.parametrize("k", [0, -1, 2**32])
+@pytest.mark.parametrize("save", [
+    pytest.param(lambda path, k: save_matrix(path, _instance(), k), id="save_matrix"),
+    pytest.param(lambda path, k: save_labeling(path, k, [1, 1], np.ones((2, 1, 1))),
+                 id="save_labeling"),
+])
+def test_writers_reject_counts_the_header_cannot_hold(tmp_path, save, k):
+    # K travels as a u32 and a loader hands it back as the cluster count,
+    # so it must lie in 1..2**32 - 1; nothing is written otherwise.
+    path = tmp_path / "out.bin"
+    with pytest.raises(ValidationError, match=r"^K must lie in 1\.\.2\*\*32 - 1"):
+        save(path, k)
+    assert not path.exists()
+
+
+def test_snr_ratio_rejects_labels_outside_two_clusters():
+    # A label of 3 used to be read silently as "not cluster 1".
+    with pytest.raises(ValidationError, match=r"^true_labels must lie in \{1, 2\}"):
+        snr_ratio(_factors(), [1] * 6 + [2] * 5 + [3], 2)
 
 
 @pytest.mark.parametrize("shape", [(23, 2), (24, 5), (24, 0), (24,), (24, 2, 1)])

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from syncluster.harness import (
     CSV_SCHEMA_VERSION,
     FLAG_DEGENERATE_GAP,
     FLAG_NO_CONVERGENCE,
+    FLAG_RANK_DEFICIENT,
     SweepSpec,
     fit_loglog_slope,
     load_config,
@@ -39,6 +41,7 @@ from syncluster.harness import (
     run_sweep,
 )
 from syncluster.metrics import eta
+from syncluster.recovery import FLAG_DISCONNECTED_CLUSTER
 
 
 def _small_spec(**kw):
@@ -535,6 +538,32 @@ def test_run_pipeline_rejects_an_unknown_refine_mode():
     _, a = syncluster.generate_instance(params)
     with pytest.raises(ValidationError, match="^refine must be one of none/clusters/transforms/both"):
         harness.run_pipeline(a, 2, 2, syncluster.SolverConfig(seed=1), "Both")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_pipeline_flags_its_own_degeneracies_in_stage_order(monkeypatch, seed):
+    # Three clean clusters of 10 solved as two: the top 4 = K*d eigenvalues
+    # cut a 6-fold eigenvalue, and one estimated cluster joins two true
+    # ones with no pair between them. A CPQR made rank deficient must be
+    # flagged once, after the solver's flag and before refinement's.
+    params = syncluster.ModelParams(n=30, K=3, d=2, p=1.0, q=0.0, seed=seed)
+    _, a = syncluster.generate_instance(params)
+    cfg = syncluster.SolverConfig(seed=seed)
+    assert harness.run_pipeline(a, 2, 2, cfg)[3] == [FLAG_DEGENERATE_GAP]
+    real = harness.blockwise_cpqr
+    monkeypatch.setattr(harness, "blockwise_cpqr",
+                        lambda x, d: replace(real(x, d), rank_deficient=True))
+    _, result, _, flags = harness.run_pipeline(a, 2, 2, cfg, "transforms")
+    assert result.flags == (FLAG_DISCONNECTED_CLUSTER,)
+    assert flags == [FLAG_DEGENERATE_GAP, FLAG_RANK_DEFICIENT, FLAG_DISCONNECTED_CLUSTER]
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_run_pipeline_rejects_d_unequal_to_the_matrix_block_size(d):
+    # d = 1 on a d = 2 matrix used to return labels for twice its nodes.
+    _, a = syncluster.generate_instance(syncluster.ModelParams(n=40, K=2, d=2, p=0.6, q=0.1, seed=1))
+    with pytest.raises(ValidationError, match=f"^d must equal the matrix's block size 2, got {d}$"):
+        harness.run_pipeline(a, 2, d, syncluster.SolverConfig(seed=1))
 
 
 @pytest.mark.parametrize("refine, loose", [

@@ -1,5 +1,6 @@
 """Random-model generation, the block-sparse matrix, and serialization."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -271,7 +272,7 @@ def test_matvec_matches_dense_oracle(case, extra, kind):
     else:
         gt, a = generate_instance(_params(seed, n, big_k, d, p10, q10))
     if kind == "restricted":
-        a = a.restrict(rng.choice(n, size=max(1, n // 2), replace=False))
+        a = oracles.principal_submatrix(a, rng.choice(n, size=max(1, n // 2), replace=False))
     x = rng.standard_normal((a.nd,) + extra)
     want = oracles.dense_matvec(oracles.dense(a), x)
     got = a.matvec(x)
@@ -315,17 +316,6 @@ def test_matvec_rejects_operands_of_the_wrong_shape():
     for shape in ((80, 2, 2), (79,), (81, 3)):
         with pytest.raises(ValidationError, match="operand"):
             a.matvec(np.ones(shape))
-
-
-@given(small_models)
-def test_restrict_matches_dense_submatrix(case):
-    seed, n, big_k, d, p10, q10 = case
-    gt, a = generate_instance(_params(seed, n, big_k, d, max(p10, 5), q10))
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed + 1)))
-    nodes = np.sort(rng.choice(n, size=max(2, n // 2), replace=False))
-    sub = a.restrict(nodes)
-    rows = np.concatenate([np.arange(i * d, (i + 1) * d) for i in nodes])
-    assert np.allclose(oracles.dense(sub), oracles.dense(a)[np.ix_(rows, rows)], atol=0)
 
 
 def test_sparse_matrix_validates_pairs():
@@ -501,6 +491,41 @@ def test_loader_rejects_corruption(tmp_path):
         truth = tmp_path / "t.bin"
         save_ground_truth(truth, gt)
         load_matrix(truth)
+
+
+def _header(version=1, n=2, K=2, d=1, kind=1, count=2):
+    """A container header in the documented layout: magic, six u32 fields."""
+    return b"JSYN" + struct.pack("<6I", version, n, K, d, kind, count)
+
+
+def _node_blocks(n):
+    """One d=1 (i, i, 1.0) triplet per node, as labelings store transforms."""
+    return b"".join(struct.pack("<2Id", i, i, 1.0) for i in range(n))
+
+
+@pytest.mark.parametrize("loader, raw, message", [
+    pytest.param(load_matrix, _header()[:20], "truncated header", id="short-header"),
+    pytest.param(load_matrix, _header(version=2), "unsupported format version 2", id="version"),
+    pytest.param(load_labeling, _header(kind=7), "unknown record kind 7", id="kind"),
+    pytest.param(load_matrix, _header(n=0, kind=0, count=0), "invalid dimensions n=0 d=1",
+                 id="zero-n"),
+    pytest.param(load_labeling, _header(d=0), "invalid dimensions n=2 d=0", id="zero-d"),
+    pytest.param(load_labeling, _header(count=3) + struct.pack("<2I", 1, 2) + _node_blocks(3),
+                 "one block per node", id="count-not-n"),
+    pytest.param(load_labeling, _header() + struct.pack("<I", 1), "truncated labels",
+                 id="short-labels"),
+    pytest.param(load_labeling, _header() + struct.pack("<2I", 1, 2) + _node_blocks(1),
+                 "truncated block data", id="short-blocks"),
+    pytest.param(load_labeling, _header() + struct.pack("<2I", 1, 3) + _node_blocks(2),
+                 r"stored labels leave 1\.\.K", id="label-over-K"),
+    pytest.param(load_labeling, _header() + struct.pack("<2I", 0, 2) + _node_blocks(2),
+                 r"stored labels leave 1\.\.K", id="label-zero"),
+])
+def test_loaders_reject_crafted_containers(tmp_path, loader, raw, message):
+    path = tmp_path / "crafted.bin"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=message):
+        loader(path)
 
 
 def test_kind_mismatch_rejected(tmp_path):

@@ -258,15 +258,12 @@ def test_connectivity_check_connected_and_split():
             connectivity_check(a, np.array(nodes))
 
 
-def test_restrict_and_connectivity_reject_non_integral_nodes():
+def test_connectivity_check_rejects_non_integral_nodes():
     _, a = _ring_matrix(6, 1, seed=2)
-    for call in (a.restrict, lambda nodes: connectivity_check(a, nodes)):
-        for nodes in ([0.5, 1.7], ["0", "1"], [None, 1]):
-            with pytest.raises(ValidationError, match="^node indices must be integers"):
-                call(nodes)
+    for nodes in ([0.5, 1.7], ["0", "1"], [None, 1]):
+        with pytest.raises(ValidationError, match="^node indices must be integers"):
+            connectivity_check(a, nodes)
     # Integral floats name the same nodes as their integers.
-    sub = a.restrict([0.0, 1.0, 3.0])
-    assert np.array_equal(sub.pairs, a.restrict([0, 1, 3]).pairs)
     assert connectivity_check(a, np.array([0.0, 1.0, 3.0]))[1].tolist() == [0, 0, 1]
 
 
@@ -337,16 +334,18 @@ def _clique_matrix(n, d, cliques, seed, cross=()):
 
 
 def _assert_solved_per_component(a, given, refined, truth, components):
-    # Each component's transforms equal a solve restricted to exactly its
-    # own nodes of the full matrix, started from their input transforms,
-    # and match the truth up to one gauge. A single node keeps its input.
+    # Each component's transforms equal a solve on exactly its own nodes'
+    # principal sub-matrix, cut independently of refine_transforms' split and
+    # started from their input transforms, and match the truth up to one
+    # gauge. A single node keeps its input.
     d = a.d
     for nodes in components:
         if nodes.size == 1:
             assert np.array_equal(refined.transforms[nodes], given.transforms[nodes])
             continue
+        sub = oracles.principal_submatrix(a, nodes)
         start = given.transforms[nodes].reshape(-1, d)
-        blocks = top_eigenpairs(a.restrict(nodes), d, start=start).vectors.reshape(-1, d, d)
+        blocks = top_eigenpairs(sub, d, start=start).vectors.reshape(-1, d, d)
         assert np.array_equal(refined.transforms[nodes], polar_decompose(blocks))
         assert oracles.gauge_align_error(truth[nodes], refined.transforms[nodes]) <= 1e-7
 
@@ -415,19 +414,6 @@ def test_refine_transforms_splits_every_cluster_and_flags_empty_first():
     a, result, transforms, cliques = _split_clusters_case()
     refined = refine_transforms(a, result)
     assert refined.flags == (FLAG_EMPTY_CLUSTER, FLAG_DISCONNECTED_CLUSTER)
-    _assert_solved_per_component(a, result, refined, transforms, cliques)
-
-
-def test_refine_transforms_cuts_components_without_restrict(monkeypatch):
-    # One split of the stored pairs gives every component's matrix; the
-    # O(m) restrict per component is never called.
-    def refuse(self, nodes):
-        raise AssertionError("refine_transforms called restrict")
-
-    a, result, transforms, cliques = _split_clusters_case()
-    monkeypatch.setattr(SparseBlockMatrix, "restrict", refuse)
-    refined = refine_transforms(a, result)
-    monkeypatch.undo()
     _assert_solved_per_component(a, result, refined, transforms, cliques)
 
 
