@@ -1,10 +1,8 @@
 """Command-line entry points.
 
-Subcommands: sweep (run a configured experiment), bench (runtime scaling),
-snr (separation-ratio study across block sizes), generate (write a random
-instance to disk), solve (run the pipeline on a serialized instance).
-sweep, bench and snr share one handler; bench and snr only pin the mode
-and supply a default spec when --config is omitted.
+Subcommands: sweep (run a configured study; a mode = runtime config runs
+the runtime bench), generate (write a random instance to disk), solve (run
+the pipeline on a serialized instance).
 
 Exit codes: 0 on success, 1 on any library error (bad input, a parse
 failure, no convergence), 2 on an I/O error. Everything chatty goes to
@@ -21,7 +19,6 @@ from .eigensolver import SolverConfig
 from .errors import ParseError, SynclusterError, ValidationError
 from .harness import (
     REFINE_CHOICES,
-    SweepSpec,
     load_config,
     load_model_config,
     run_pipeline,
@@ -44,16 +41,8 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-# Subcommands that run one mode: the mode a --config must have, and the
-# spec fields used when --config is omitted.
-_STUDIES = {
-    "bench": ("runtime", {"K": 2, "d": 2, "n_values": (200, 400, 800, 1600)}),
-    "snr": ("snr", {"n": 400, "K": 2, "d_values": (2, 10, 20), "p": 0.5, "q": 0.5}),
-}
-
-
-def _add_common(sub, *, config_required=False):
-    sub.add_argument("--config", required=config_required, metavar="PATH",
+def _add_common(sub):
+    sub.add_argument("--config", required=True, metavar="PATH",
                      help="key=value configuration file")
     sub.add_argument("--seed", type=int, default=None, help="master seed override")
     sub.add_argument("--out", required=True, metavar="PATH", help="output path")
@@ -64,26 +53,16 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    sweep = commands.add_parser("sweep", help="run a configured parameter sweep")
-    _add_common(sweep, config_required=True)
+    sweep = commands.add_parser("sweep", help="run the study a config describes")
+    _add_common(sweep)
     sweep.add_argument("--trials", type=int, default=None, help="trials per cell override")
     sweep.add_argument("--refine", choices=REFINE_CHOICES, default=None,
                        help="refinement stage override")
     sweep.add_argument("--workers", type=int, default=None, help="parallel worker override")
     sweep.set_defaults(handler=_cmd_sweep)
 
-    bench = commands.add_parser("bench", help="runtime scaling benchmark")
-    _add_common(bench)
-    bench.set_defaults(handler=_cmd_sweep)
-
-    snr = commands.add_parser("snr", help="separation-ratio study across block sizes")
-    _add_common(snr)
-    snr.add_argument("--trials", type=int, default=None, help="trials per cell override")
-    snr.add_argument("--workers", type=int, default=None, help="parallel worker override")
-    snr.set_defaults(handler=_cmd_sweep)
-
     generate = commands.add_parser("generate", help="write a random instance to disk")
-    _add_common(generate, config_required=True)
+    _add_common(generate)
     generate.set_defaults(handler=_cmd_generate)
 
     solve = commands.add_parser("solve", help="run the pipeline on a stored instance")
@@ -116,15 +95,8 @@ def _print_cell_means(summaries):
 
 
 def _cmd_sweep(args):
-    overrides = {name: getattr(args, name, None) for name in ("seed", "trials", "refine", "workers")}
-    study = _STUDIES.get(args.command)
-    if args.config is not None:
-        spec = load_config(args.config, overrides)
-    else:
-        mode, defaults = study  # only sweep requires --config
-        spec = SweepSpec(mode=mode, **defaults, **{k: v for k, v in overrides.items() if v is not None})
-    if study is not None and spec.mode != study[0]:
-        raise ValidationError(f"{args.command} needs a config with mode={study[0]}")
+    overrides = {name: getattr(args, name) for name in ("seed", "trials", "refine", "workers")}
+    spec = load_config(args.config, overrides)
     if spec.mode == "runtime":
         rows, slopes = run_runtime_bench(spec, args.out)
         by_n = {}

@@ -54,6 +54,8 @@ CSV_SCHEMA_VERSION = 1
 BENCH_COLUMNS = ("n", "phase", "ms")
 _BENCH_REPS = 5
 _TIMING_NOTE = "monotonic clock, per-phase wall time"
+# Thread-count variables of the BLAS builds numpy ships with or links.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Default within/cross density multiplier for the runtime bench protocol,
 # p = q = BENCH_DENSITY * log(n) / n.
@@ -82,7 +84,6 @@ class SweepSpec:
     p: float = None
     q: float = None
     eta_values: tuple = ()
-    fixed_axis: str = "beta"
     n_values: tuple = ()
     d_values: tuple = ()
     sigma: float = 0.0
@@ -92,20 +93,14 @@ class SweepSpec:
     fraction: float = 0.10
     seed: int = 0
     workers: int = 1
-    # Residual target of the restricted solves, and of the global solve
-    # unless refine re-solves transforms; then the global solve, which only
-    # feeds labels, runs to its square root.
-    solver_tolerance: float = 1e-8
-    solver_max_iterations: int = 5000
     zero_timings: bool = False
 
     def validate(self):
         """Check the run settings, then resolve the cells and return them.
 
         Every axis must list its values, and every real-valued setting
-        must be a real number. Building the SolverConfig checks the solver
-        settings, and each cell's ModelParams checks its model settings
-        (sizes included), before any trial.
+        must be a real number. Each cell's ModelParams checks its model
+        settings (sizes included) before any trial.
 
         Returns:
             The resolve_cells list, so a run expands the spec only once.
@@ -118,7 +113,7 @@ class SweepSpec:
             raise ValidationError("workers must be at least 1")
         if self.n is not None:
             as_index(self.n, "n")
-        for name in ("fraction", "p", "q", "sigma", "solver_tolerance"):
+        for name in ("fraction", "p", "q", "sigma"):
             if getattr(self, name) is not None:
                 as_real(getattr(self, name), name)
         for name in ("alpha", "beta", "eta_values", "sigma_values"):
@@ -128,7 +123,6 @@ class SweepSpec:
         as_values(self.d_values, "d_values")
         if not 0.0 <= self.fraction <= 1.0:
             raise ValidationError("fraction must lie in [0, 1]")
-        _solver_config(self, seed=0)
         return resolve_cells(self)
 
 
@@ -168,7 +162,8 @@ def resolve_cells(spec):
 
     This is the one place that knows what each mode needs: grid and
     noise-grid cross alpha x beta x sigma_list (or the fixed sigma),
-    eta-sweep solves the free density axis per target eta, snr takes one
+    eta-sweep holds the one density axis given fixed (one alpha or one
+    beta) and solves the other per target eta, snr takes one
     cell per d_list entry at absolute p and q, and runtime one cell per
     n_list entry (at least two distinct, to fit a slope) at
     p = q = density * log(n) / n, with density alpha[0] or BENCH_DENSITY.
@@ -190,23 +185,19 @@ def resolve_cells(spec):
             raise ValidationError(f"{spec.mode} mode needs n")
         if not spec.eta_values:
             raise ValidationError("eta-sweep mode needs eta")
-        if spec.fixed_axis == "alpha":
-            if len(spec.alpha) != 1:
-                raise ValidationError("eta-sweep with fixed_axis=alpha needs exactly one alpha")
+        if len(spec.alpha) + len(spec.beta) != 1:
+            raise ValidationError("eta-sweep mode needs one alpha or one beta, the fixed axis")
+        if spec.alpha:
             a = spec.alpha[0]
             return [
                 _cell(spec, alpha=a, beta=beta_for_eta(target, a, spec.n, spec.d))
                 for target in spec.eta_values
             ]
-        if spec.fixed_axis == "beta":
-            if len(spec.beta) != 1:
-                raise ValidationError("eta-sweep with fixed_axis=beta needs exactly one beta")
-            b = spec.beta[0]
-            return [
-                _cell(spec, alpha=alpha_for_eta(target, b, spec.n, spec.d), beta=b)
-                for target in spec.eta_values
-            ]
-        raise ValidationError("fixed_axis must be alpha or beta")
+        b = spec.beta[0]
+        return [
+            _cell(spec, alpha=alpha_for_eta(target, b, spec.n, spec.d), beta=b)
+            for target in spec.eta_values
+        ]
     if spec.mode == "snr":
         if not spec.d_values:
             raise ValidationError("snr mode needs d_list")
@@ -237,10 +228,12 @@ def run_pipeline(a, big_k, d, cfg, refine="none", fraction=0.10):
         milliseconds; flags lists degeneracies observed.
 
     Raises:
-        ValidationError: big_k or d is not an integer, d is not a.d, or
-            refine is not one of REFINE_CHOICES.
+        ValidationError: big_k or d is not an integer, big_k is outside
+            1..a.n, d is not a.d, or refine is not one of REFINE_CHOICES.
     """
     big_k, d = as_index(big_k, "big_k"), as_index(d, "d")
+    if not 1 <= big_k <= a.n:
+        raise ValidationError(f"big_k must lie in 1..{a.n}, got {big_k}")
     if d != a.d:
         raise ValidationError(f"d must equal the matrix's block size {a.d}, got {d}")
     if refine not in REFINE_CHOICES:
@@ -284,13 +277,6 @@ def run_pipeline(a, big_k, d, cfg, refine="none", fraction=0.10):
     return factors, result, timings, flags
 
 
-def _solver_config(spec, seed):
-    """The spec's SolverConfig for one seed; its checks reject bad settings."""
-    return SolverConfig(
-        tolerance=spec.solver_tolerance, max_iterations=spec.solver_max_iterations, seed=seed
-    )
-
-
 def _run_trial(task):
     """One (cell, trial): generate, run, evaluate. Returns a value dict."""
     cell, trial, subseed, spec = task
@@ -298,7 +284,7 @@ def _run_trial(task):
                   snr_min=None, flags=[])
     values.update(dict.fromkeys(_TIMING_COLUMNS, 0.0))
     gt, a = generate_instance(replace(cell["params"], seed=subseed))
-    cfg = _solver_config(spec, subseed)
+    cfg = SolverConfig(seed=subseed)
     # A library failure in solving or scoring becomes a row flagged with the
     # error's name (NoConvergenceError -> NoConvergence), never an abort;
     # generation stays outside so a bad config still fails fast.
@@ -381,6 +367,25 @@ def run_sweep(spec, out_path=None):
     return results, summaries
 
 
+def _environment():
+    """Interpreter, numpy and BLAS versions, thread settings and CPU counts."""
+    import os
+    import platform
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):  # numpy < 1.25 has no mode="dicts"
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "thread_variables": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
+        "cpu_count": os.cpu_count(),
+        "affinity_cpus": len(os.sched_getaffinity(0)),
+    }
+
+
 def _write_csv(out_path, spec, columns, rows, extra):
     """Write a header and rows to out_path, plus a JSON manifest sidecar."""
     with open(out_path, "w", newline="") as fh:
@@ -395,6 +400,7 @@ def _write_csv(out_path, spec, columns, rows, extra):
         "timing": _TIMING_NOTE,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "log_convention": "natural log; exact matches floored at -746",
+        "environment": _environment(),
         **extra,
     }
     with open(f"{out_path}.manifest.json", "w") as fh:
@@ -494,7 +500,6 @@ _SWEEP_KEYS = {
     "p": float,
     "q": float,
     "eta": _floats,
-    "fixed_axis": str,
     "n_list": _ints,
     "d_list": _ints,
     "sigma": float,
@@ -504,8 +509,6 @@ _SWEEP_KEYS = {
     "fraction": float,
     "seed": int,
     "workers": int,
-    "solver_tolerance": float,
-    "solver_max_iterations": int,
     "zero_timings": lambda raw: bool(int(raw)),
 }
 

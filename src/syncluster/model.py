@@ -334,25 +334,22 @@ def _read(arr, idx):
     return arr[idx] if isinstance(idx, slice) else np.take(arr, idx, axis=0)
 
 
-def generate_ground_truth(params, source=None):
+def generate_ground_truth(params):
     """Draw ground truth: contiguous cluster labels and Haar transforms.
 
     The first sizes[0] nodes form cluster 1, the next sizes[1] cluster 2,
     and so on. Transforms are i.i.d. Haar orthogonal. Deterministic given
-    params.seed (or the explicit source).
+    params.seed.
 
     Args:
         params: validated ModelParams.
-        source: RandomSource; defaults to RandomSource(params.seed).
 
     Returns:
         GroundTruth.
     """
-    if source is None:
-        source = RandomSource(params.seed)
     labels = np.repeat(np.arange(1, params.K + 1), params.sizes)
-    z = source.stream(_STREAM_TRANSFORMS).standard_normal((params.n, params.d, params.d))
-    transforms = haar_from_normals(z)
+    rng = RandomSource(params.seed).stream(_STREAM_TRANSFORMS)
+    transforms = haar_from_normals(rng.standard_normal((params.n, params.d, params.d)))
     return GroundTruth(
         n=params.n,
         K=params.K,
@@ -451,18 +448,16 @@ def generate_observation(gt, p, q, source):
     return SparseBlockMatrix(n, d, np.column_stack((i_arr, j_arr)), data, copy=False)
 
 
-def generate_instance(params, source=None):
+def generate_instance(params):
     """Draw a full instance: ground truth plus its observation matrix.
 
-    Noise is applied when params.sigma > 0. Deterministic given params.seed
-    (or the explicit source).
+    Noise is applied when params.sigma > 0. Deterministic given params.seed.
 
     Returns:
         (GroundTruth, SparseBlockMatrix).
     """
-    if source is None:
-        source = RandomSource(params.seed)
-    gt = generate_ground_truth(params, source)
+    source = RandomSource(params.seed)
+    gt = generate_ground_truth(params)
     a = generate_observation(gt, params.p, params.q, source)
     if params.sigma > 0:
         a = add_gaussian_noise(a, params.sigma, source)

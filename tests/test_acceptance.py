@@ -68,7 +68,7 @@ def test_criterion_02_eta_threshold():
     t0 = time.perf_counter()
     targets = (0.1, 0.3, 0.5, 1.0, 1.5)
     spec = SweepSpec(
-        mode="eta-sweep", n=400, K=2, d=2, beta=(2.0,), fixed_axis="beta",
+        mode="eta-sweep", n=400, K=2, d=2, beta=(2.0,),
         eta_values=targets, trials=20, seed=0,
     )
     _, summaries = run_sweep(spec)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from syncluster import cli, harness
+from syncluster import harness
 from syncluster.cli import main
 from syncluster.errors import NoConvergenceError
 from syncluster.harness import CSV_COLUMNS
@@ -192,78 +192,55 @@ def test_generate_rejects_incomplete_model(tmp_path, capsys):
     assert "missing required key 'q'" in capsys.readouterr().err
 
 
-def test_snr_subcommand_with_config(tmp_path, capsys):
+def test_sweep_runs_snr_config(tmp_path, capsys):
     conf = tmp_path / "snr.conf"
     conf.write_text("mode = snr\nn = 32\nK = 2\nd_list = 1,2\np = 0.6\nq = 0.6\ntrials = 1\nzero_timings = 1\n")
     out = tmp_path / "snr.csv"
-    assert main(["snr", "--config", str(conf), "--out", str(out)]) == 0
+    assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 0
     assert "snr_min=" in capsys.readouterr().out
-    assert out.exists()
-
-    wrong = tmp_path / "wrong.conf"
-    wrong.write_text("mode = grid\nn = 32\nK = 2\nd = 1\nalpha = 8\nbeta = 0.5\n")
-    assert main(["snr", "--config", str(wrong), "--out", str(out)]) == 1
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["mode"], row["d"]) for row in rows] == [("snr", "1"), ("snr", "2")] * 2
 
 
-def test_bench_subcommand_with_config(tmp_path, capsys):
+def test_sweep_routes_runtime_configs_to_bench(tmp_path, capsys):
     conf = tmp_path / "bench.conf"
     conf.write_text("mode = runtime\nK = 2\nd = 1\nn_list = 48,96\nseed = 2\n")
     out = tmp_path / "bench.csv"
-    assert main(["bench", "--config", str(conf), "--out", str(out)]) == 0
+    assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 0
     captured = capsys.readouterr().out
     assert "slope_excl_eigen=" in captured
     assert "slope_total=" in captured
-    assert out.exists()
-
-    wrong = tmp_path / "wrong.conf"
-    wrong.write_text("mode = snr\nn = 32\nd_list = 2\n")
-    assert main(["bench", "--config", str(wrong), "--out", str(out)]) == 1
+    with open(out, newline="") as fh:
+        assert next(csv.reader(fh)) == list(harness.BENCH_COLUMNS)
 
 
 def test_bench_failed_trial_exits_one(tmp_path, capsys, monkeypatch):
     conf = tmp_path / "bench.conf"
     conf.write_text("mode = runtime\nK = 2\nd = 1\nn_list = 48,96\n")
     monkeypatch.setattr(harness, "top_eigenpairs", _stalled)
-    assert main(["bench", "--config", str(conf), "--out", str(tmp_path / "bench.csv")]) == 1
+    assert main(["sweep", "--config", str(conf), "--out", str(tmp_path / "bench.csv")]) == 1
     assert capsys.readouterr().err == (
         "error: runtime bench trial 0 at n=48 failed: NoConvergence\n"
     )
 
 
-def test_sweep_routes_runtime_configs_to_bench(tmp_path, capsys):
-    conf = tmp_path / "bench.conf"
-    conf.write_text("mode = runtime\nK = 2\nd = 1\nn_list = 48,96\n")
-    out = tmp_path / "bench.csv"
-    assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 0
-    assert "slope_excl_eigen=" in capsys.readouterr().out
+@pytest.mark.parametrize("command", ["bench", "snr"])
+def test_bench_and_snr_subcommands_are_gone(tmp_path, capsys, command):
+    # Every study, the runtime bench and the snr study included, runs
+    # through sweep with its config.
+    out = tmp_path / "o.csv"
+    assert main([command, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "invalid choice" in err and command in err
+    assert not out.exists()
 
 
-def test_bench_and_snr_build_default_specs_without_config(monkeypatch, tmp_path, capsys):
-    specs = []
-
-    def fake_bench(spec, out):
-        specs.append(spec)
-        rows = [(n, phase, 1.0) for n in spec.n_values for phase in ("eigen", "excl_eigen", "total")]
-        return rows, {"excl_eigen": 1.0, "total": 1.0}
-
-    def fake_sweep(spec, out):
-        specs.append(spec)
-        return [], []
-
-    monkeypatch.setattr(cli, "run_runtime_bench", fake_bench)
-    monkeypatch.setattr(cli, "run_sweep", fake_sweep)
-    out = str(tmp_path / "o.csv")
-    assert main(["bench", "--out", out, "--seed", "5"]) == 0
-    assert "slope_excl_eigen=1.0000" in capsys.readouterr().out
-    assert main(["snr", "--out", out, "--seed", "6", "--trials", "3"]) == 0
-    assert f"wrote={out}" in capsys.readouterr().out
-    bench, snr = specs
-    assert (bench.mode, bench.K, bench.d, bench.n_values, bench.seed) == (
-        "runtime", 2, 2, (200, 400, 800, 1600), 5
-    )
-    assert (snr.mode, snr.n, snr.K, snr.d_values, snr.p, snr.q, snr.seed, snr.trials) == (
-        "snr", 400, 2, (2, 10, 20), 0.5, 0.5, 6, 3
-    )
+def test_help_lists_exactly_three_commands(capsys):
+    assert main(["--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # Subcommands are the lines indented past the two-space option column.
+    assert [line.split()[0] for line in lines if line.startswith("    ")] == ["sweep", "generate", "solve"]
 
 
 def _science_rows(path):

@@ -95,7 +95,6 @@ def test_non_integer_arguments_fail_typed_and_named(name, call):
     ("p", lambda: SweepSpec(mode="snr", n=32, d_values=(1,), p="0.5").validate()),
     ("q", lambda: SweepSpec(mode="snr", n=32, d_values=(1,), q=[0.5]).validate()),
     ("sigma", lambda: _spec(sigma="0.3").validate()),
-    ("solver_tolerance", lambda: _spec(solver_tolerance="1e-8").validate()),
     ("alpha", lambda: _spec(alpha=(8.0, "9")).validate()),
     ("beta", lambda: _spec(beta=("0.5",)).validate()),
     ("eta_values", lambda: _spec(mode="eta-sweep", eta_values=("0.4",)).validate()),

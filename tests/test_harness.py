@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -90,7 +91,7 @@ def test_noise_grid_crosses_sigmas():
 
 def test_eta_sweep_solves_the_free_axis():
     spec = _small_spec(
-        mode="eta-sweep", n=200, beta=(1.0,), alpha=(), eta_values=(0.3, 0.6), fixed_axis="beta"
+        mode="eta-sweep", n=200, beta=(1.0,), alpha=(), eta_values=(0.3, 0.6)
     )
     cells = resolve_cells(spec)
     assert len(cells) == 2
@@ -98,7 +99,7 @@ def test_eta_sweep_solves_the_free_axis():
         assert cell["beta"] == 1.0
         assert cell["eta"] == pytest.approx(target, rel=1e-12)
     flipped = _small_spec(
-        mode="eta-sweep", n=200, alpha=(20.0,), beta=(), eta_values=(0.25,), fixed_axis="alpha"
+        mode="eta-sweep", n=200, alpha=(20.0,), beta=(), eta_values=(0.25,)
     )
     (cell,) = resolve_cells(flipped)
     assert cell["alpha"] == 20.0
@@ -106,9 +107,12 @@ def test_eta_sweep_solves_the_free_axis():
 
 
 def test_eta_sweep_needs_exactly_one_fixed_value():
-    spec = _small_spec(mode="eta-sweep", beta=(1.0, 2.0), eta_values=(0.5,))
-    with pytest.raises(ValidationError):
-        resolve_cells(spec)
+    # The one density axis given is the fixed one: both axes, neither, or
+    # two values on one axis leave it ambiguous.
+    for alpha, beta in [((8.0,), (1.0,)), ((), ()), ((), (1.0, 2.0)), ((6.0, 8.0), ())]:
+        spec = _small_spec(mode="eta-sweep", alpha=alpha, beta=beta, eta_values=(0.5,))
+        with pytest.raises(ValidationError, match="^eta-sweep mode needs one alpha or one beta"):
+            resolve_cells(spec)
 
 
 def test_snr_cells_default_probabilities():
@@ -153,15 +157,6 @@ def test_spec_validation_messages():
         SweepSpec(mode="runtime").validate()
     with pytest.raises(ValidationError, match="sigma"):
         _small_spec(sigma=-0.5).validate()
-    with pytest.raises(ValidationError, match="tolerance"):
-        _small_spec(solver_tolerance=0.0).validate()
-    with pytest.raises(ValidationError, match="max_iterations"):
-        _small_spec(solver_max_iterations=0).validate()
-
-
-def test_infinite_solver_tolerance_fails_in_validate():
-    with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
-        _small_spec(solver_tolerance=float("inf")).validate()
 
 
 def test_validate_returns_the_resolved_cells():
@@ -287,10 +282,14 @@ def test_snr_column_present_only_for_two_clusters(tmp_path):
     assert three[0]["snr_min"] is None
 
 
-def test_nonconvergent_trials_become_flagged_rows(tmp_path):
+def _stalled(a, k, cfg=None):
+    raise NoConvergenceError("no convergence after 1 iterations")
+
+
+def test_nonconvergent_trials_become_flagged_rows(tmp_path, monkeypatch):
     out = tmp_path / "fail.csv"
-    spec = _small_spec(trials=2, solver_tolerance=1e-300, solver_max_iterations=2)
-    results, summaries = run_sweep(spec, out)
+    monkeypatch.setattr(harness, "top_eigenpairs", _stalled)
+    results, summaries = run_sweep(_small_spec(trials=2), out)
     assert all(v["flags"] == [FLAG_NO_CONVERGENCE] for v in results)
     assert all(v["exact"] == 0 for v in results)
     assert all(v["sync_error_log"] is None for v in results)
@@ -332,6 +331,23 @@ def test_manifest_describes_the_run(tmp_path):
     assert manifest["cells"] == 1
     assert "package_version" in manifest
     assert manifest["timing"] == "monotonic clock, per-phase wall time"
+
+
+def test_manifest_records_the_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "sweep.csv"
+    run_sweep(_small_spec(trials=1), out)
+    env = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["environment"]
+    assert set(env) == {"python", "numpy", "blas", "thread_variables", "cpu_count", "affinity_cpus"}
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert set(env["blas"]) == {"name", "version"}
+    assert env["thread_variables"]["OMP_NUM_THREADS"] == "3"
+    assert env["thread_variables"]["MKL_NUM_THREADS"] is None
+    assert set(env["thread_variables"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert env["cpu_count"] == os.cpu_count()
+    assert 1 <= env["affinity_cpus"] <= env["cpu_count"]
 
 
 def test_refine_grid_never_degrades_mean_recovery(tmp_path):
@@ -407,10 +423,7 @@ def test_runtime_bench_takes_medians_after_the_warm_up(monkeypatch):
 
 
 def test_runtime_bench_raises_on_a_failed_trial(monkeypatch):
-    def stalled(a, k, cfg=None):
-        raise NoConvergenceError("no convergence after 1 iterations")
-
-    monkeypatch.setattr(harness, "top_eigenpairs", stalled)
+    monkeypatch.setattr(harness, "top_eigenpairs", _stalled)
     spec = SweepSpec(mode="runtime", K=2, d=1, n_values=(48, 96), seed=5)
     with pytest.raises(SynclusterError, match="^runtime bench trial 0 at n=48 failed: NoConvergence$"):
         run_runtime_bench(spec)
@@ -464,6 +477,12 @@ def test_config_errors_carry_line_numbers(tmp_path):
     path.write_text("mode = grid\nn = 32\nbogus = 3\n")
     with pytest.raises(ParseError, match=r"bad\.conf:3: unknown key 'bogus'"):
         load_config(path)
+
+    for line in ("fixed_axis = beta", "solver_tolerance = 1e-8", "solver_max_iterations = 9"):
+        path.write_text(f"mode = eta-sweep\nn = 32\n{line}\n")
+        key = line.split(" ")[0]
+        with pytest.raises(ParseError, match=rf"bad\.conf:3: unknown key '{key}'"):
+            load_config(path)
 
     path.write_text("mode = grid\nmode = grid\n")
     with pytest.raises(ParseError, match=r"bad\.conf:2: duplicate key 'mode'"):
@@ -556,6 +575,14 @@ def test_run_pipeline_flags_its_own_degeneracies_in_stage_order(monkeypatch, see
     _, result, _, flags = harness.run_pipeline(a, 2, 2, cfg, "transforms")
     assert result.flags == (FLAG_DISCONNECTED_CLUSTER,)
     assert flags == [FLAG_DEGENERATE_GAP, FLAG_RANK_DEFICIENT, FLAG_DISCONNECTED_CLUSTER]
+
+
+@pytest.mark.parametrize("big_k", [0, -1, 41])
+def test_run_pipeline_rejects_big_k_outside_one_to_n(big_k):
+    # These used to surface from the eigensolver as "k must lie in 1..80".
+    _, a = syncluster.generate_instance(syncluster.ModelParams(n=40, K=2, d=2, p=0.6, q=0.1, seed=1))
+    with pytest.raises(ValidationError, match=f"^big_k must lie in 1..40, got {big_k}$"):
+        harness.run_pipeline(a, big_k, 2, syncluster.SolverConfig(seed=1))
 
 
 @pytest.mark.parametrize("d", [1, 3])
