@@ -215,6 +215,20 @@ def test_sweep_routes_runtime_configs_to_bench(tmp_path, capsys):
         assert next(csv.reader(fh)) == list(harness.BENCH_COLUMNS)
 
 
+def test_bench_subcommand_with_config(tmp_path, capsys):
+    # The runtime bench runs from its config through sweep and times every
+    # size the config lists.
+    conf = tmp_path / "bench.conf"
+    conf.write_text("mode = runtime\nK = 2\nd = 1\nn_list = 48,96\nseed = 2\n")
+    out = tmp_path / "bench.csv"
+    assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 0
+    captured = capsys.readouterr().out
+    assert "slope_excl_eigen=" in captured
+    assert "slope_total=" in captured
+    with open(out, newline="") as fh:
+        assert {row["n"] for row in csv.DictReader(fh)} == {"48", "96"}
+
+
 def test_bench_failed_trial_exits_one(tmp_path, capsys, monkeypatch):
     conf = tmp_path / "bench.conf"
     conf.write_text("mode = runtime\nK = 2\nd = 1\nn_list = 48,96\n")
