@@ -1,17 +1,17 @@
 """Experiment driver: parameter sweeps, runtime benches, CSV output.
 
 Every experiment is one path. `resolve_cells` turns a SweepSpec into its
-ordered list of cells (parameter points) and is the only place that knows
-what each mode needs; `_run_trial` is the one place that generates a
-seeded instance and runs it through `run_pipeline`. A sweep runs `trials`
-trials per cell and writes one CSV row per trial plus one mean row per
-cell; the runtime bench is one sweep with a warm-up plus _BENCH_REPS
-trials per cell, reduced to per-phase medians and fitted log-log slopes.
-Every trial derives a private integer sub-seed from (master seed, cell
-index, trial index), so results are bit-reproducible and independent of
-worker count and scheduling. Per-trial failures are recorded as flagged
-rows and never abort the sweep; the bench raises on them, since a failed
-trial has no timings.
+ordered list of cells (parameter points): the product of the n, d, density
+and sigma axes, whatever the mode; `_run_trial` is the one place that
+generates a seeded instance and runs it through `run_pipeline`. A sweep
+runs `trials` trials per cell and writes one CSV row per trial plus one
+mean row per cell; the runtime bench is one sweep with a warm-up plus
+_BENCH_REPS trials per cell, reduced to per-phase medians and fitted
+log-log slopes. Every trial derives a private integer sub-seed from
+(master seed, cell index, trial index), so results are bit-reproducible
+and independent of worker count and scheduling. Per-trial failures are
+recorded as flagged rows and never abort the sweep; the bench raises on
+them, since a failed trial has no timings.
 
 Science columns are deterministic given (config, seed); wall-clock timing
 columns are not, so the zero_timings switch exists to blank them when
@@ -57,10 +57,6 @@ _TIMING_NOTE = "monotonic clock, per-phase wall time"
 # Thread-count variables of the BLAS builds numpy ships with or links.
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# Default within/cross density multiplier for the runtime bench protocol,
-# p = q = BENCH_DENSITY * log(n) / n.
-BENCH_DENSITY = 10.0
-
 FLAG_NO_CONVERGENCE = "NoConvergence"
 FLAG_DEGENERATE_GAP = "DegenerateGap"
 FLAG_RANK_DEFICIENT = "RankDeficient"
@@ -70,24 +66,23 @@ FLAG_RANK_DEFICIENT = "RankDeficient"
 class SweepSpec:
     """Resolved description of one experiment run.
 
-    alpha and beta are value tuples (grid axes or the fixed axis of an
-    eta sweep); p and q are absolute probabilities for the snr mode.
+    n, d and sigma are the size, block-size and noise axes; alpha, beta
+    and eta are density axes, and p and q absolute probabilities (see
+    resolve_cells for the forms the density may take). mode names the
+    study in the CSV and sends runtime specs to the bench.
     """
 
     mode: str
-    n: int = None
+    n: tuple = ()
     K: int = 2
-    d: int = 2
+    d: tuple = (2,)
     sizes: tuple = None
     alpha: tuple = ()
     beta: tuple = ()
     p: float = None
     q: float = None
-    eta_values: tuple = ()
-    n_values: tuple = ()
-    d_values: tuple = ()
-    sigma: float = 0.0
-    sigma_values: tuple = ()
+    eta: tuple = ()
+    sigma: tuple = (0.0,)
     trials: int = 20
     refine: str = "none"
     fraction: float = 0.10
@@ -111,16 +106,15 @@ class SweepSpec:
             raise ValidationError("trials must be at least 1")
         if as_index(self.workers, "workers") < 1:
             raise ValidationError("workers must be at least 1")
-        if self.n is not None:
-            as_index(self.n, "n")
-        for name in ("fraction", "p", "q", "sigma"):
+        for name in ("n", "d"):
+            for value in as_values(getattr(self, name), name):
+                as_index(value, name)
+        for name in ("fraction", "p", "q"):
             if getattr(self, name) is not None:
                 as_real(getattr(self, name), name)
-        for name in ("alpha", "beta", "eta_values", "sigma_values"):
+        for name in ("alpha", "beta", "eta", "sigma"):
             for value in as_values(getattr(self, name), name):
                 as_real(value, name)
-        as_values(self.n_values, "n_values")
-        as_values(self.d_values, "d_values")
         if not 0.0 <= self.fraction <= 1.0:
             raise ValidationError("fraction must lie in [0, 1]")
         return resolve_cells(self)
@@ -137,13 +131,30 @@ def _derived_prob(coef, n, what):
     return value
 
 
-def _cell(spec, *, n=None, d=None, alpha=None, beta=None, p=None, q=None, sigma=None):
-    n = spec.n if n is None else n
-    d = spec.d if d is None else d
-    sigma = spec.sigma if sigma is None else sigma
+def _densities(spec, n, d):
+    """The (alpha, beta, p, q) points of the spec's one density form at (n, d)."""
+    given = {name for name in ("p", "q") if getattr(spec, name) is not None}
+    given |= {name for name in ("alpha", "beta", "eta") if getattr(spec, name)}
+    if given == {"p", "q"}:
+        return [(None, None, spec.p, spec.q)]
+    if given == {"alpha", "beta"}:
+        return [(a, b, None, None) for a in spec.alpha for b in spec.beta]
+    if given == {"alpha", "eta"} and len(spec.alpha) == 1:
+        a = spec.alpha[0]
+        return [(a, beta_for_eta(target, a, n, d), None, None) for target in spec.eta]
+    if given == {"beta", "eta"} and len(spec.beta) == 1:
+        b = spec.beta[0]
+        return [(alpha_for_eta(target, b, n, d), b, None, None) for target in spec.eta]
+    raise ValidationError(
+        "density must take one form: p and q together; alpha x beta; or eta with "
+        "one value on exactly one of alpha and beta"
+    )
+
+
+def _cell(spec, n, d, density, sigma):
+    alpha, beta, p, q = density
     if p is None:
         p = _derived_prob(alpha, n, "alpha")
-    if q is None:
         q = _derived_prob(beta, n, "beta")
     params = ModelParams(n=n, K=spec.K, d=d, p=p, q=q, sizes=spec.sizes, sigma=sigma)
     try:
@@ -160,58 +171,27 @@ def _cell(spec, *, n=None, d=None, alpha=None, beta=None, p=None, q=None, sigma=
 def resolve_cells(spec):
     """Expand a SweepSpec into its ordered list of parameter cells.
 
-    This is the one place that knows what each mode needs: grid and
-    noise-grid cross alpha x beta x sigma_list (or the fixed sigma),
-    eta-sweep holds the one density axis given fixed (one alpha or one
-    beta) and solves the other per target eta, snr takes one
-    cell per d_list entry at absolute p and q, and runtime one cell per
-    n_list entry (at least two distinct, to fit a slope) at
-    p = q = density * log(n) / n, with density alpha[0] or BENCH_DENSITY.
-    Each cell carries its ModelParams under "params" (seed 0), whose
+    A study is the product n x d x density x sigma, in that order, for
+    every mode. The density takes exactly one of three forms: p and q
+    together, as absolute probabilities; alpha x beta, at
+    p = alpha log(n)/n and q = beta log(n)/n; or eta targets with one
+    value on exactly one of alpha and beta, the other solved per (n, d)
+    to hit each target. Any other combination raises ValidationError, so
+    no key a spec sets goes unused. mode is checked and copied into each
+    cell. Each cell carries its ModelParams under "params" (seed 0), whose
     checks reject bad model settings.
     """
-    if spec.mode in ("grid", "noise-grid"):
-        if spec.n is None:
-            raise ValidationError(f"{spec.mode} mode needs n")
-        if not spec.alpha or not spec.beta:
-            raise ValidationError(f"{spec.mode} mode needs alpha and beta")
-        sigmas = spec.sigma_values if spec.sigma_values else (spec.sigma,)
-        return [
-            _cell(spec, alpha=a, beta=b, sigma=s)
-            for a in spec.alpha for b in spec.beta for s in sigmas
-        ]
-    if spec.mode == "eta-sweep":
-        if spec.n is None:
-            raise ValidationError(f"{spec.mode} mode needs n")
-        if not spec.eta_values:
-            raise ValidationError("eta-sweep mode needs eta")
-        if len(spec.alpha) + len(spec.beta) != 1:
-            raise ValidationError("eta-sweep mode needs one alpha or one beta, the fixed axis")
-        if spec.alpha:
-            a = spec.alpha[0]
-            return [
-                _cell(spec, alpha=a, beta=beta_for_eta(target, a, spec.n, spec.d))
-                for target in spec.eta_values
-            ]
-        b = spec.beta[0]
-        return [
-            _cell(spec, alpha=alpha_for_eta(target, b, spec.n, spec.d), beta=b)
-            for target in spec.eta_values
-        ]
-    if spec.mode == "snr":
-        if not spec.d_values:
-            raise ValidationError("snr mode needs d_list")
-        if spec.n is None:
-            raise ValidationError(f"{spec.mode} mode needs n")
-        p = 0.5 if spec.p is None else spec.p
-        q = 0.5 if spec.q is None else spec.q
-        return [_cell(spec, d=d, p=p, q=q) for d in spec.d_values]
-    if spec.mode == "runtime":
-        if len(set(spec.n_values)) < 2:
-            raise ValidationError("runtime mode needs at least two distinct n_list entries")
-        density = spec.alpha[0] if spec.alpha else BENCH_DENSITY
-        return [_cell(spec, n=n, alpha=density, beta=density) for n in spec.n_values]
-    raise ValidationError(f"mode must be one of {'/'.join(MODES)}")
+    if spec.mode not in MODES:
+        raise ValidationError(f"mode must be one of {'/'.join(MODES)}")
+    if not spec.n:
+        raise ValidationError("n must list at least one size")
+    return [
+        _cell(spec, n, d, density, sigma)
+        for n in spec.n
+        for d in spec.d
+        for density in _densities(spec, n, d)
+        for sigma in spec.sigma
+    ]
 
 
 def run_pipeline(a, big_k, d, cfg, refine="none", fraction=0.10):
@@ -420,23 +400,30 @@ def fit_loglog_slope(ns, ts):
 def run_runtime_bench(spec, out_path=None):
     """Median-of-reps phase timings across n, plus fitted log-log slopes.
 
-    The given spec is validated as is, then run as one sweep pinned to a
-    discarded warm-up plus _BENCH_REPS repetitions per n in one process;
-    per-phase medians over the repetitions are reported. Slopes are fitted
-    for the pipeline excluding the eigensolve and for the total. The
-    manifest records the pinned spec, i.e. the repetitions that ran.
+    The given spec is validated as is and must resolve to one cell per n
+    over at least two distinct n, to fit a slope. It then runs as one sweep
+    pinned to a discarded warm-up plus _BENCH_REPS repetitions per n in one
+    process; per-phase medians over the repetitions are reported. Slopes
+    are fitted for the pipeline excluding the eigensolve and for the total.
+    The manifest records the pinned spec, i.e. the repetitions that ran.
 
     Returns:
         (rows, slopes): rows are (n, phase, ms) tuples; slopes maps
         "excl_eigen" and "total" to fitted exponents.
 
     Raises:
-        ValidationError: the spec is invalid or not mode=runtime.
+        ValidationError: the spec is invalid, not mode=runtime, or not
+            one cell at each of two or more distinct n.
         SynclusterError: a trial's pipeline raised; its row has no timings.
     """
     cells = spec.validate()
     if spec.mode != "runtime":
         raise ValidationError("run_runtime_bench needs mode=runtime")
+    ns = [cell["n"] for cell in cells]
+    if len(set(ns)) < 2 or len(set(ns)) < len(ns):
+        raise ValidationError(
+            "the runtime bench needs one cell at each of at least two distinct n"
+        )
     pinned = replace(spec, trials=_BENCH_REPS + 1, workers=1)
     results, _ = run_sweep(pinned)
     rows, medians = [], []
@@ -455,7 +442,7 @@ def run_runtime_bench(spec, out_path=None):
         medians.append(dict(zip(_BENCH_PHASES, np.median(samples[1:], axis=0).tolist())))
         rows.extend((cell["n"], phase, ms) for phase, ms in medians[-1].items())
     slopes = {
-        key: fit_loglog_slope(spec.n_values, [m[key] for m in medians])
+        key: fit_loglog_slope(ns, [m[key] for m in medians])
         for key in ("excl_eigen", "total")
     }
     if out_path is not None:
@@ -489,36 +476,39 @@ def _range(raw):
     return tuple(float(v) for v in np.linspace(lo, hi, steps))
 
 
+def _switch(raw):
+    """0 or 1; any other integer is an error, not a truthy value."""
+    value = int(raw)
+    if value not in (0, 1):
+        raise ValueError(f"expected 0 or 1, got {value}")
+    return bool(value)
+
+
+# Every sweep key is the name of its SweepSpec field.
 _SWEEP_KEYS = {
     "mode": str,
-    "n": int,
+    "n": _ints,
     "K": int,
-    "d": int,
+    "d": _ints,
     "sizes": _ints,
     "alpha": _range,
     "beta": _range,
     "p": float,
     "q": float,
     "eta": _floats,
-    "n_list": _ints,
-    "d_list": _ints,
-    "sigma": float,
-    "sigma_list": _floats,
+    "sigma": _floats,
     "trials": int,
     "refine": str,
     "fraction": float,
     "seed": int,
     "workers": int,
-    "zero_timings": lambda raw: bool(int(raw)),
+    "zero_timings": _switch,
 }
 
 _MODEL_KEYS = {
     "n": int, "K": int, "d": int, "sizes": _ints,
     "p": float, "q": float, "sigma": float, "seed": int,
 }
-
-_KEY_TO_FIELD = {"eta": "eta_values", "n_list": "n_values", "d_list": "d_values",
-                 "sigma_list": "sigma_values"}
 
 
 def _parse_flat_file(path, keys):
@@ -564,7 +554,7 @@ def load_config(path, overrides=None):
     entries = _parse_flat_file(path, _SWEEP_KEYS)
     if "mode" not in entries:
         raise ValidationError(f"{path}: missing required key 'mode'")
-    spec = SweepSpec(**{_KEY_TO_FIELD.get(key, key): value for key, value in entries.items()})
+    spec = SweepSpec(**entries)
     if overrides:
         for name, value in overrides.items():
             if value is not None:

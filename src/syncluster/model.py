@@ -23,7 +23,7 @@ is bounded by a memory budget instead.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -142,39 +142,41 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """True cluster labels (1-based) and per-node orthogonal transforms."""
+    """True cluster labels (1-based) and per-node orthogonal transforms.
 
-    n: int
-    K: int
-    d: int
+    The rest follows from these two: n and d from the (n, d, d) transforms,
+    K = labels.max(), and sizes the per-cluster label counts. Every
+    cluster 1..K must appear.
+    """
+
     labels: np.ndarray
     transforms: np.ndarray
-    sizes: np.ndarray
+    n: int = field(init=False)
+    K: int = field(init=False)
+    d: int = field(init=False)
+    sizes: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("n", "K", "d"):
-            object.__setattr__(self, name, as_index(getattr(self, name), name))
         labels = as_indices(self.labels, "labels")
         transforms = as_floats(self.transforms, "transforms")
-        sizes = as_indices(self.sizes, "sizes")
-        if self.n < 1:
-            raise ValidationError("n must be at least 1")
-        if labels.shape != (self.n,):
-            raise ValidationError("labels must have one entry per node")
-        if labels.min() < 1 or labels.max() > self.K:
-            raise ValidationError("labels must lie in 1..K")
-        if transforms.shape != (self.n, self.d, self.d):
+        if labels.ndim != 1 or labels.size == 0:
+            raise ValidationError("labels must be a non-empty 1-d array")
+        n = labels.shape[0]
+        d = transforms.shape[-1] if transforms.ndim else 0
+        if transforms.shape != (n, d, d):
             raise ValidationError("transforms must be an (n, d, d) stack")
-        counts = np.bincount(labels, minlength=self.K + 1)[1:]
-        if (counts == 0).any():
+        # Clusters 1..K all appear only if every label lies in 1..n; checked
+        # first, this also bounds the bincount.
+        if labels.min() < 1 or labels.max() > n:
+            raise ValidationError("labels must lie in 1..n")
+        sizes = np.bincount(labels)[1:]
+        if (sizes == 0).any():
             raise ValidationError("every cluster index in 1..K must appear at least once")
-        if sizes.shape != (self.K,) or (counts != sizes).any():
-            raise ValidationError("sizes must equal the per-cluster label counts")
         for arr in (labels, transforms, sizes):
             arr.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "transforms", transforms)
-        object.__setattr__(self, "sizes", sizes)
+        for name, value in (("labels", labels), ("transforms", transforms), ("n", n),
+                            ("K", int(labels.max())), ("d", d), ("sizes", sizes)):
+            object.__setattr__(self, name, value)
 
     def cluster_nodes(self, k):
         """Node indices of cluster k (1-based k), ascending."""
@@ -350,14 +352,7 @@ def generate_ground_truth(params):
     labels = np.repeat(np.arange(1, params.K + 1), params.sizes)
     rng = RandomSource(params.seed).stream(_STREAM_TRANSFORMS)
     transforms = haar_from_normals(rng.standard_normal((params.n, params.d, params.d)))
-    return GroundTruth(
-        n=params.n,
-        K=params.K,
-        d=params.d,
-        labels=labels,
-        transforms=transforms,
-        sizes=np.asarray(params.sizes, dtype=np.int64),
-    )
+    return GroundTruth(labels=labels, transforms=transforms)
 
 
 def _check_dense_noise_budget(n, d):
@@ -623,9 +618,10 @@ def save_ground_truth(path, gt):
 def load_ground_truth(path):
     """Read a labeling container back into a validated GroundTruth."""
     labels, transforms, K = load_labeling(path)
-    sizes = np.bincount(labels, minlength=K + 1)[1:]
     try:
-        return GroundTruth(n=labels.shape[0], K=K, d=transforms.shape[1],
-                           labels=labels, transforms=transforms, sizes=sizes)
+        gt = GroundTruth(labels=labels, transforms=transforms)
     except ValidationError as exc:
         raise ParseError(f"{path}: {exc}") from None
+    if gt.K != K:
+        raise ParseError(f"{path}: every cluster index in 1..{K} must appear at least once")
+    return gt

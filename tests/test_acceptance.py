@@ -68,8 +68,8 @@ def test_criterion_02_eta_threshold():
     t0 = time.perf_counter()
     targets = (0.1, 0.3, 0.5, 1.0, 1.5)
     spec = SweepSpec(
-        mode="eta-sweep", n=400, K=2, d=2, beta=(2.0,),
-        eta_values=targets, trials=20, seed=0,
+        mode="eta-sweep", n=(400,), K=2, d=(2,), beta=(2.0,),
+        eta=targets, trials=20, seed=0,
     )
     _, summaries = run_sweep(spec)
     means = {}
@@ -92,7 +92,7 @@ def test_criterion_03_phase_transition_monotonicity():
     alphas = (2.0, 4.0, 6.0, 8.0)
     betas = (0.5, 1.5, 2.5, 3.5)
     spec = SweepSpec(
-        mode="grid", n=400, K=2, d=2, alpha=alphas, beta=betas,
+        mode="grid", n=(400,), K=2, d=(2,), alpha=alphas, beta=betas,
         trials=5, seed=4,
     )
     _, summaries = run_sweep(spec)
@@ -241,7 +241,8 @@ def test_criterion_07_cpqr_matches_scalar_oracle():
 def test_criterion_08_runtime_slope_excluding_eigensolve():
     t0 = time.perf_counter()
     spec = SweepSpec(
-        mode="runtime", K=2, d=2, n_values=(200, 400, 800, 1600), seed=8
+        mode="runtime", K=2, d=(2,), n=(200, 400, 800, 1600), alpha=(10.0,), beta=(10.0,),
+        seed=8,
     )
     _, slopes = run_runtime_bench(spec)
     elapsed = time.perf_counter() - t0
@@ -255,7 +256,7 @@ def test_criterion_08_runtime_slope_excluding_eigensolve():
 def test_criterion_09_snr_increases_with_d():
     t0 = time.perf_counter()
     spec = SweepSpec(
-        mode="snr", n=400, K=2, d_values=(2, 10, 20), p=0.5, q=0.5,
+        mode="snr", n=(400,), K=2, d=(2, 10, 20), p=0.5, q=0.5,
         trials=20, seed=0,
     )
     _, summaries = run_sweep(spec)
@@ -275,8 +276,8 @@ def test_criterion_10_additive_noise_robustness():
     alpha = 0.5 * n / math.log(n)  # p = 0.5
     beta = 0.1 * n / math.log(n)  # q = 0.1
     spec = SweepSpec(
-        mode="noise-grid", n=n, K=2, d=2, alpha=(alpha,), beta=(beta,),
-        sigma_values=(0.5, 2.5), trials=20, seed=10,
+        mode="noise-grid", n=(n,), K=2, d=(2,), alpha=(alpha,), beta=(beta,),
+        sigma=(0.5, 2.5), trials=20, seed=10,
     )
     _, summaries = run_sweep(spec)
     by_sigma = {row["sigma"]: row["exact"] for row in summaries}

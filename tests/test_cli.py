@@ -194,7 +194,7 @@ def test_generate_rejects_incomplete_model(tmp_path, capsys):
 
 def test_sweep_runs_snr_config(tmp_path, capsys):
     conf = tmp_path / "snr.conf"
-    conf.write_text("mode = snr\nn = 32\nK = 2\nd_list = 1,2\np = 0.6\nq = 0.6\ntrials = 1\nzero_timings = 1\n")
+    conf.write_text("mode = snr\nn = 32\nK = 2\nd = 1,2\np = 0.6\nq = 0.6\ntrials = 1\nzero_timings = 1\n")
     out = tmp_path / "snr.csv"
     assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 0
     assert "snr_min=" in capsys.readouterr().out
@@ -205,7 +205,7 @@ def test_sweep_runs_snr_config(tmp_path, capsys):
 
 def test_sweep_routes_runtime_configs_to_bench(tmp_path, capsys):
     conf = tmp_path / "bench.conf"
-    conf.write_text("mode = runtime\nK = 2\nd = 1\nn_list = 48,96\nseed = 2\n")
+    conf.write_text("mode = runtime\nK = 2\nd = 1\nn = 48,96\nalpha = 10\nbeta = 10\nseed = 2\n")
     out = tmp_path / "bench.csv"
     assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 0
     captured = capsys.readouterr().out
@@ -219,7 +219,7 @@ def test_bench_subcommand_with_config(tmp_path, capsys):
     # The runtime bench runs from its config through sweep and times every
     # size the config lists.
     conf = tmp_path / "bench.conf"
-    conf.write_text("mode = runtime\nK = 2\nd = 1\nn_list = 48,96\nseed = 2\n")
+    conf.write_text("mode = runtime\nK = 2\nd = 1\nn = 48,96\nalpha = 10\nbeta = 10\nseed = 2\n")
     out = tmp_path / "bench.csv"
     assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 0
     captured = capsys.readouterr().out
@@ -231,7 +231,7 @@ def test_bench_subcommand_with_config(tmp_path, capsys):
 
 def test_bench_failed_trial_exits_one(tmp_path, capsys, monkeypatch):
     conf = tmp_path / "bench.conf"
-    conf.write_text("mode = runtime\nK = 2\nd = 1\nn_list = 48,96\n")
+    conf.write_text("mode = runtime\nK = 2\nd = 1\nn = 48,96\nalpha = 10\nbeta = 10\n")
     monkeypatch.setattr(harness, "top_eigenpairs", _stalled)
     assert main(["sweep", "--config", str(conf), "--out", str(tmp_path / "bench.csv")]) == 1
     assert capsys.readouterr().err == (

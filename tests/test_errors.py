@@ -33,7 +33,7 @@ def _instance():
 
 
 def _spec(**kw):
-    base = dict(mode="grid", n=32, K=2, d=1, alpha=(8.0,), beta=(0.5,))
+    base = dict(mode="grid", n=(32,), K=2, d=(1,), alpha=(8.0,), beta=(0.5,))
     return SweepSpec(**{**base, **kw})
 
 
@@ -46,7 +46,7 @@ def _truth():
 
 
 def _ground_truth(**kw):
-    base = dict(n=3, K=2, d=1, labels=[1, 2, 1], transforms=np.ones((3, 1, 1)), sizes=[2, 1])
+    base = dict(labels=[1, 2, 1], transforms=np.ones((3, 1, 1)))
     return GroundTruth(**{**base, **kw})
 
 
@@ -65,10 +65,8 @@ def _refine_clusters(fraction):
     ("seed", lambda: RandomSource(1.5)),
     ("key", lambda: RandomSource(1).stream(1.5)),
     ("k", lambda: top_eigenpairs(_instance(), 2.7)),
-    pytest.param("n", lambda: _spec(n="20").validate(), id="n-SweepSpec"),
-    pytest.param("n", lambda: _ground_truth(n="3"), id="n-GroundTruth"),
-    pytest.param("K", lambda: _ground_truth(K=2.0), id="K-GroundTruth"),
-    pytest.param("d", lambda: _ground_truth(d=None), id="d-GroundTruth"),
+    pytest.param("n", lambda: _spec(n=("20",)).validate(), id="n-SweepSpec"),
+    pytest.param("d", lambda: _spec(d=(2.0,)).validate(), id="d-SweepSpec"),
     pytest.param("big_k", lambda: exact_recovery([1, 2], [1, 2], "2"), id="big_k-exact_recovery"),
     pytest.param("big_k", lambda: run_pipeline(_instance(), "2", 2, SolverConfig()),
                  id="big_k-run_pipeline"),
@@ -92,13 +90,13 @@ def test_non_integer_arguments_fail_typed_and_named(name, call):
     ("sigma", lambda: ModelParams(n=10, K=2, d=2, p=0.5, q=0.1, sigma="0.3")),
     ("tolerance", lambda: SolverConfig(tolerance="1e-8")),
     ("fraction", lambda: _spec(fraction="0.1").validate()),
-    ("p", lambda: SweepSpec(mode="snr", n=32, d_values=(1,), p="0.5").validate()),
-    ("q", lambda: SweepSpec(mode="snr", n=32, d_values=(1,), q=[0.5]).validate()),
-    ("sigma", lambda: _spec(sigma="0.3").validate()),
+    ("p", lambda: SweepSpec(mode="snr", n=(32,), d=(1,), p="0.5", q=0.5).validate()),
+    ("q", lambda: SweepSpec(mode="snr", n=(32,), d=(1,), p=0.5, q=[0.5]).validate()),
+    ("sigma", lambda: _spec(sigma=("0.3",)).validate()),
     ("alpha", lambda: _spec(alpha=(8.0, "9")).validate()),
     ("beta", lambda: _spec(beta=("0.5",)).validate()),
-    ("eta_values", lambda: _spec(mode="eta-sweep", eta_values=("0.4",)).validate()),
-    ("sigma_values", lambda: _spec(sigma_values=(0.0, "0.1")).validate()),
+    ("eta", lambda: _spec(mode="eta-sweep", eta=("0.4",)).validate()),
+    ("sigma", lambda: _spec(sigma=(0.0, "0.1")).validate()),
     pytest.param("fraction", lambda: _refine_clusters("0.1"), id="fraction-refine_clusters"),
     pytest.param("p", lambda: generate_observation(_truth(), "0.5", 0.1, RandomSource(1)),
                  id="p-generate_observation"),
@@ -119,11 +117,11 @@ def test_non_real_settings_fail_typed_and_named(name, call):
 
 
 @pytest.mark.parametrize("name, call", [
-    ("alpha", lambda: SweepSpec(mode="grid", n=32, alpha=8.0, beta=(0.5,)).validate()),
-    ("n_values", lambda: SweepSpec(mode="runtime", n_values=400).validate()),
-    ("d_values", lambda: SweepSpec(mode="snr", n=32, d_values=2).validate()),
-    ("eta_values", lambda: _spec(mode="eta-sweep", eta_values=0.5).validate()),
-    ("sigma_values", lambda: _spec(sigma_values=0.3).validate()),
+    ("alpha", lambda: SweepSpec(mode="grid", n=(32,), alpha=8.0, beta=(0.5,)).validate()),
+    ("n", lambda: SweepSpec(mode="runtime", n=400).validate()),
+    ("d", lambda: SweepSpec(mode="snr", n=(32,), d=2).validate()),
+    ("eta", lambda: _spec(mode="eta-sweep", eta=0.5).validate()),
+    ("sigma", lambda: _spec(sigma=0.3).validate()),
     ("sizes", lambda: _spec(sizes=16).validate()),
     ("sizes", lambda: ModelParams(n=12, K=1, d=2, p=0.5, q=0.1, sizes=12)),
 ])
@@ -158,7 +156,6 @@ def test_non_numeric_arrays_fail_typed_and_named(name, call):
     pytest.param("true_labels", lambda: exact_recovery([1, 2, 1], [1.5, 2.7, 1.2], 2),
                  id="true_labels-exact_recovery"),
     pytest.param("labels", lambda: _ground_truth(labels=[1.5, 2.0, 1.0]), id="labels-GroundTruth"),
-    pytest.param("sizes", lambda: _ground_truth(sizes=[2.5, 1.0]), id="sizes-GroundTruth"),
     pytest.param("labels", lambda: save_labeling(os.devnull, 2, [1.5, 2.0], np.ones((2, 1, 1))),
                  id="labels-save_labeling"),
     pytest.param("perm", lambda: apply_block_permutation(np.eye(2), [0.5, 1.2]),

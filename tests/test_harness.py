@@ -1,6 +1,8 @@
 """Sweep resolution, CSV output, determinism, config parsing, benching."""
 
 import csv
+import dataclasses
+import itertools
 import json
 import math
 import os
@@ -48,9 +50,9 @@ from syncluster.recovery import FLAG_DISCONNECTED_CLUSTER
 def _small_spec(**kw):
     base = dict(
         mode="grid",
-        n=32,
+        n=(32,),
         K=2,
-        d=1,
+        d=(1,),
         alpha=(8.0,),
         beta=(0.5,),
         trials=2,
@@ -78,20 +80,42 @@ def test_grid_cells_row_major_with_derived_probabilities():
 
 
 def test_noise_grid_crosses_sigmas():
-    spec = _small_spec(mode="noise-grid", sigma_values=(0.0, 0.25, 0.5))
+    spec = _small_spec(mode="noise-grid", sigma=(0.0, 0.25, 0.5))
     cells = resolve_cells(spec)
     assert [c["sigma"] for c in cells] == [0.0, 0.25, 0.5]
-    single = _small_spec(mode="noise-grid", sigma=0.3)
+    single = _small_spec(mode="noise-grid", sigma=(0.3,))
     assert [c["sigma"] for c in resolve_cells(single)] == [0.3]
-    grid = _small_spec(alpha=(6.0, 8.0), sigma_values=(0.0, 0.5))
+    grid = _small_spec(alpha=(6.0, 8.0), sigma=(0.0, 0.5))
     cells = resolve_cells(grid)
     assert [(c["alpha"], c["sigma"]) for c in cells] == [(6.0, 0.0), (6.0, 0.5), (8.0, 0.0), (8.0, 0.5)]
     assert {c["mode"] for c in cells} == {"grid"}
 
 
+def test_cells_are_the_product_of_n_d_density_and_sigma_in_order():
+    spec = _small_spec(n=(32, 48), d=(1, 2), alpha=(6.0, 8.0), sigma=(0.0, 0.1))
+    cells = resolve_cells(spec)
+    assert [(c["n"], c["d"], c["alpha"], c["beta"], c["sigma"]) for c in cells] == list(
+        itertools.product((32, 48), (1, 2), (6.0, 8.0), (0.5,), (0.0, 0.1))
+    )
+    for c in cells:
+        assert c["p"] == pytest.approx(c["alpha"] * math.log(c["n"]) / c["n"])
+        assert c["params"] == syncluster.ModelParams(n=c["n"], K=2, d=c["d"], p=c["p"],
+                                                     q=c["q"], sigma=c["sigma"])
+
+
+def test_every_mode_resolves_the_same_cells():
+    # mode names the study; the axes alone pick the cells.
+    spec = _small_spec(n=(32, 48), sigma=(0.0, 0.1))
+    want = [dict(c, mode=None) for c in resolve_cells(spec)]
+    for mode in harness.MODES:
+        cells = resolve_cells(replace(spec, mode=mode))
+        assert {c["mode"] for c in cells} == {mode}
+        assert [dict(c, mode=None) for c in cells] == want
+
+
 def test_eta_sweep_solves_the_free_axis():
     spec = _small_spec(
-        mode="eta-sweep", n=200, beta=(1.0,), alpha=(), eta_values=(0.3, 0.6)
+        mode="eta-sweep", n=(200,), beta=(1.0,), alpha=(), eta=(0.3, 0.6)
     )
     cells = resolve_cells(spec)
     assert len(cells) == 2
@@ -99,39 +123,80 @@ def test_eta_sweep_solves_the_free_axis():
         assert cell["beta"] == 1.0
         assert cell["eta"] == pytest.approx(target, rel=1e-12)
     flipped = _small_spec(
-        mode="eta-sweep", n=200, alpha=(20.0,), beta=(), eta_values=(0.25,)
+        mode="eta-sweep", n=(200,), alpha=(20.0,), beta=(), eta=(0.25,)
     )
     (cell,) = resolve_cells(flipped)
     assert cell["alpha"] == 20.0
     assert cell["eta"] == pytest.approx(0.25, rel=1e-12)
 
 
+def test_eta_targets_are_solved_per_block_size():
+    # A d axis gives one cell per (d, target), each on its target.
+    spec = _small_spec(mode="eta-sweep", n=(200,), d=(3, 5), alpha=(), beta=(1.0,),
+                       eta=(0.3, 0.6), sigma=(0.0, 0.1))
+    cells = resolve_cells(spec)
+    axes = list(itertools.product((3, 5), (0.3, 0.6), (0.0, 0.1)))
+    assert [(c["d"], c["sigma"]) for c in cells] == [(d, sigma) for d, _, sigma in axes]
+    for c, (_, target, _) in zip(cells, axes):
+        assert abs(c["eta"] - target) <= 1e-12
+        assert c["beta"] == 1.0
+
+
+_DENSITY_FORMS = (
+    "^density must take one form: p and q together; alpha x beta; "
+    "or eta with one value on exactly one of alpha and beta$"
+)
+
+
 def test_eta_sweep_needs_exactly_one_fixed_value():
     # The one density axis given is the fixed one: both axes, neither, or
     # two values on one axis leave it ambiguous.
     for alpha, beta in [((8.0,), (1.0,)), ((), ()), ((), (1.0, 2.0)), ((6.0, 8.0), ())]:
-        spec = _small_spec(mode="eta-sweep", alpha=alpha, beta=beta, eta_values=(0.5,))
-        with pytest.raises(ValidationError, match="^eta-sweep mode needs one alpha or one beta"):
+        spec = _small_spec(mode="eta-sweep", alpha=alpha, beta=beta, eta=(0.5,))
+        with pytest.raises(ValidationError, match=_DENSITY_FORMS):
             resolve_cells(spec)
 
 
-def test_snr_cells_default_probabilities():
-    spec = _small_spec(mode="snr", n=40, d_values=(2, 10), alpha=(), beta=())
+@pytest.mark.parametrize("settings", [
+    pytest.param(dict(mode="grid", p=0.9, q=0.9, eta=(0.5,)), id="grid-p-q-eta-alpha-beta"),
+    pytest.param(dict(mode="snr", p=0.9, q=0.9), id="snr-p-q-alpha-beta"),
+    pytest.param(dict(mode="snr", alpha=(), beta=(), p=0.5), id="p-without-q"),
+    pytest.param(dict(mode="snr", alpha=(), beta=(), q=0.5), id="q-without-p"),
+    pytest.param(dict(mode="eta-sweep", alpha=(), p=0.5, eta=(0.5,)), id="eta-with-p"),
+    pytest.param(dict(mode="grid", beta=()), id="alpha-alone"),
+    pytest.param(dict(mode="grid", alpha=()), id="beta-alone"),
+    pytest.param(dict(mode="runtime", alpha=(), beta=()), id="runtime-no-density"),
+])
+def test_density_takes_exactly_one_form(settings):
+    with pytest.raises(ValidationError, match=_DENSITY_FORMS):
+        _small_spec(**settings).validate()
+
+
+def test_snr_cells_have_no_default_probabilities():
+    # snr has no density of its own: p and q come from the spec.
+    spec = _small_spec(mode="snr", n=(40,), d=(2, 10), alpha=(), beta=(), p=0.5, q=0.5,
+                       sigma=(0.0, 0.2))
     cells = resolve_cells(spec)
-    assert [c["d"] for c in cells] == [2, 10]
+    assert [(c["d"], c["sigma"]) for c in cells] == [(2, 0.0), (2, 0.2), (10, 0.0), (10, 0.2)]
     assert all(c["p"] == 0.5 and c["q"] == 0.5 for c in cells)
+    assert all(c["alpha"] is None and c["beta"] is None for c in cells)
+    with pytest.raises(ValidationError, match=_DENSITY_FORMS):
+        resolve_cells(replace(spec, p=None, q=None))
 
 
 def test_runtime_cells_sit_at_the_bench_density():
-    spec = SweepSpec(mode="runtime", K=3, d=2, n_values=(64, 128))
-    cells = resolve_cells(spec)
-    assert [c["n"] for c in cells] == [64, 128]
+    # The bundled bench config gives its density, p = q = 10 log(n)/n, as
+    # alpha = beta = 10; every other axis a runtime spec sets is used too.
+    configs = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+    cells = resolve_cells(load_config(configs / "runtime_bench.conf"))
+    assert [c["n"] for c in cells] == [200, 400, 800, 1600]
     for c in cells:
-        assert (c["K"], c["d"], c["alpha"], c["beta"]) == (3, 2, harness.BENCH_DENSITY, harness.BENCH_DENSITY)
-        assert c["p"] == c["q"] == pytest.approx(10.0 * math.log(c["n"]) / c["n"])
-    dense = SweepSpec(mode="runtime", n_values=(64, 128), alpha=(4.0,))
-    for c in resolve_cells(dense):
-        assert c["p"] == c["q"] == pytest.approx(4.0 * math.log(c["n"]) / c["n"])
+        assert (c["K"], c["d"], c["alpha"], c["beta"]) == (2, 2, 10.0, 10.0)
+        assert c["p"] == c["q"] == 10.0 * math.log(c["n"]) / c["n"]
+    spec = SweepSpec(mode="runtime", n=(999,), alpha=(4.0, 6.0), beta=(1.0,), sigma=(0.1, 0.2))
+    assert [(c["n"], c["alpha"], c["beta"], c["sigma"]) for c in resolve_cells(spec)] == [
+        (999, 4.0, 1.0, 0.1), (999, 4.0, 1.0, 0.2), (999, 6.0, 1.0, 0.1), (999, 6.0, 1.0, 0.2)
+    ]
 
 
 def test_derived_probability_out_of_range():
@@ -151,12 +216,12 @@ def test_spec_validation_messages():
         _small_spec(workers=0).validate()
     with pytest.raises(ValidationError, match="fraction"):
         _small_spec(fraction=1.5).validate()
-    with pytest.raises(ValidationError, match="needs n"):
+    with pytest.raises(ValidationError, match="^n must list at least one size$"):
         SweepSpec(mode="grid", alpha=(1.0,), beta=(1.0,)).validate()
-    with pytest.raises(ValidationError, match="n_list"):
-        SweepSpec(mode="runtime").validate()
+    with pytest.raises(ValidationError, match="^n must list at least one size$"):
+        SweepSpec(mode="runtime", alpha=(10.0,), beta=(10.0,)).validate()
     with pytest.raises(ValidationError, match="sigma"):
-        _small_spec(sigma=-0.5).validate()
+        _small_spec(sigma=(-0.5,)).validate()
 
 
 def test_validate_returns_the_resolved_cells():
@@ -166,8 +231,8 @@ def test_validate_returns_the_resolved_cells():
 
 def test_dense_noise_spec_over_budget_fails_before_allocating():
     # sigma > 0 at n=20000, d=2 would need 6.4 GB of noise blocks.
-    spec = SweepSpec(mode="grid", n=20000, K=2, d=2, alpha=(8.0,), beta=(1.0,),
-                     sigma=0.1, trials=1)
+    spec = SweepSpec(mode="grid", n=(20000,), K=2, d=(2,), alpha=(8.0,), beta=(1.0,),
+                     sigma=(0.1,), trials=1)
     tracemalloc.start()
     try:
         with pytest.raises(ValidationError, match="over the 1 GiB budget"):
@@ -178,7 +243,7 @@ def test_dense_noise_spec_over_budget_fails_before_allocating():
     assert peak < 2**20
 
 
-_GRID = dict(mode="grid", n=40, K=2, d=2, alpha=(8.0,), beta=(1.0,), trials=1)
+_GRID = dict(mode="grid", n=(40,), K=2, d=(2,), alpha=(8.0,), beta=(1.0,), trials=1)
 
 
 @pytest.mark.parametrize(
@@ -186,17 +251,17 @@ _GRID = dict(mode="grid", n=40, K=2, d=2, alpha=(8.0,), beta=(1.0,), trials=1)
     [
         (SweepSpec(**_GRID, sizes=(10, 20)), "sum to n"),
         (SweepSpec(**_GRID, sizes=(10, 10, 20)), "exactly K"),
-        (SweepSpec(mode="runtime", sizes=(50, 50), n_values=(100, 200)), "sum to n"),
-        (SweepSpec(**_GRID, sigma=float("nan")), "sigma must be finite"),
-        (SweepSpec(**_GRID, sigma=float("inf")), "sigma must be finite"),
-        (SweepSpec(**dict(_GRID, mode="noise-grid"), sigma_values=(0.1, float("nan"))),
+        (SweepSpec(**dict(_GRID, mode="runtime", n=(100, 200)), sizes=(50, 50)), "sum to n"),
+        (SweepSpec(**_GRID, sigma=(float("nan"),)), "sigma must be finite"),
+        (SweepSpec(**_GRID, sigma=(float("inf"),)), "sigma must be finite"),
+        (SweepSpec(**dict(_GRID, mode="noise-grid"), sigma=(0.1, float("nan"))),
          "sigma must be finite"),
-        (SweepSpec(**dict(_GRID, mode="noise-grid"), sigma_values=(float("inf"),)),
+        (SweepSpec(**dict(_GRID, mode="noise-grid"), sigma=(float("inf"),)),
          "sigma must be finite"),
-        (SweepSpec(mode="runtime", n_values=(100,)), "at least two distinct n_list"),
-        (SweepSpec(mode="runtime", n_values=(100, 100)), "at least two distinct n_list"),
-        (SweepSpec(mode="eta-sweep", n=400, d=0, beta=(2.0,), eta_values=(0.5,)), "d must be"),
-        (SweepSpec(mode="eta-sweep", n=1, beta=(1.0,), eta_values=(0.5,)), "n must be"),
+        (SweepSpec(**dict(_GRID, d=(2, 0))), "d must be at least 1"),
+        (SweepSpec(**dict(_GRID, n=(40, 1))), "n must be at least 2"),
+        (SweepSpec(mode="eta-sweep", n=(400,), d=(0,), beta=(2.0,), eta=(0.5,)), "d must be"),
+        (SweepSpec(mode="eta-sweep", n=(1,), beta=(1.0,), eta=(0.5,)), "n must be"),
     ],
 )
 def test_bad_model_settings_fail_in_validate(spec, message):
@@ -262,7 +327,7 @@ def test_sweep_independent_of_worker_count(tmp_path):
 def test_transform_refinement_sweeps_recover_and_time_every_phase(tmp_path):
     out = tmp_path / "sweep.csv"
     for refine in ("transforms", "both"):
-        run_sweep(_small_spec(n=40, d=2, beta=(0.0,), refine=refine, zero_timings=False), out)
+        run_sweep(_small_spec(n=(40,), d=(2,), beta=(0.0,), refine=refine, zero_timings=False), out)
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3
@@ -278,7 +343,7 @@ def test_transform_refinement_sweeps_recover_and_time_every_phase(tmp_path):
 def test_snr_column_present_only_for_two_clusters(tmp_path):
     two, _ = run_sweep(_small_spec(trials=1))
     assert two[0]["snr_min"] is not None
-    three, _ = run_sweep(_small_spec(K=3, n=33, trials=1))
+    three, _ = run_sweep(_small_spec(K=3, n=(33,), trials=1))
     assert three[0]["snr_min"] is None
 
 
@@ -354,7 +419,7 @@ def test_refine_grid_never_degrades_mean_recovery(tmp_path):
     # The cluster refinement pass may only help (within noise) on a grid
     # straddling the recovery threshold.
     base = dict(
-        mode="grid", n=64, K=2, d=2, alpha=(3.5, 4.5), beta=(0.5, 1.2),
+        mode="grid", n=(64,), K=2, d=(2,), alpha=(3.5, 4.5), beta=(0.5, 1.2),
         trials=10, seed=11, zero_timings=True,
     )
     _, plain = run_sweep(SweepSpec(refine="none", **base))
@@ -379,9 +444,12 @@ def test_quadratic_control_slope_reads_near_two():
     assert 1.5 <= slope <= 2.5
 
 
+_BENCH = SweepSpec(mode="runtime", n=(48, 96), K=2, d=(1,), alpha=(10.0,), beta=(10.0,), seed=5)
+
+
 def test_runtime_bench_rows_and_manifest(tmp_path):
     out = tmp_path / "bench.csv"
-    spec = SweepSpec(mode="runtime", K=2, d=1, n_values=(48, 96), trials=1, seed=5)
+    spec = replace(_BENCH, trials=1)
     rows, slopes = run_runtime_bench(spec, out)
     phases = ("eigen", "cpqr", "recover", "refine", "excl_eigen", "total")
     assert len(rows) == 2 * len(phases)
@@ -413,8 +481,7 @@ def test_runtime_bench_takes_medians_after_the_warm_up(monkeypatch):
         return factors, result, dict.fromkeys(timings, k), flags + [FLAG_DEGENERATE_GAP]
 
     monkeypatch.setattr(harness, "run_pipeline", counted)
-    spec = SweepSpec(mode="runtime", K=2, d=1, n_values=(48, 96), seed=5)
-    rows, _ = run_runtime_bench(spec)
+    rows, _ = run_runtime_bench(_BENCH)
     got = {(n, phase): ms for n, phase, ms in rows}
     # Calls 0-5 are n=48 and 6-11 are n=96; calls 0 and 6 are warm-ups.
     for n, k in ((48, 3.0), (96, 9.0)):
@@ -424,14 +491,28 @@ def test_runtime_bench_takes_medians_after_the_warm_up(monkeypatch):
 
 def test_runtime_bench_raises_on_a_failed_trial(monkeypatch):
     monkeypatch.setattr(harness, "top_eigenpairs", _stalled)
-    spec = SweepSpec(mode="runtime", K=2, d=1, n_values=(48, 96), seed=5)
     with pytest.raises(SynclusterError, match="^runtime bench trial 0 at n=48 failed: NoConvergence$"):
-        run_runtime_bench(spec)
+        run_runtime_bench(_BENCH)
 
 
 def test_runtime_bench_requires_runtime_mode():
     with pytest.raises(ValidationError):
         run_runtime_bench(_small_spec())
+
+
+@pytest.mark.parametrize("settings", [
+    pytest.param(dict(n=(100,)), id="one-size"),
+    pytest.param(dict(n=(100, 100)), id="repeated-size"),
+    pytest.param(dict(d=(1, 2)), id="two-cells-per-size"),
+    pytest.param(dict(alpha=(8.0, 10.0)), id="two-densities-per-size"),
+])
+def test_runtime_bench_needs_one_cell_at_each_of_two_sizes(monkeypatch, settings):
+    # A slope needs two sizes, and a size with two cells has no one timing.
+    # The check comes before any trial runs.
+    monkeypatch.setattr(harness, "run_sweep", None)
+    with pytest.raises(ValidationError, match="^the runtime bench needs one cell at each of "
+                                              "at least two distinct n$"):
+        run_runtime_bench(replace(_BENCH, **settings))
 
 
 # --- configuration files ----------------------------------------------------
@@ -464,12 +545,15 @@ def test_config_round_trip(tmp_path):
 
 
 def test_config_list_fields_map_to_spec_names(tmp_path):
+    # Every key is its field's name; the axes take comma lists.
     path = tmp_path / "sweep.conf"
     path.write_text(
-        "mode = snr\nn = 40\nK = 2\nd_list = 2,10,20\np = 0.5\nq = 0.5\ntrials = 1\n"
+        "mode = snr\nn = 40,80\nK = 2\nd = 2,10,20\np = 0.5\nq = 0.5\n"
+        "sigma = 0.0,0.1\neta = 0.5\ntrials = 1\n"
     )
     spec = load_config(path)
-    assert spec.d_values == (2, 10, 20)
+    assert (spec.n, spec.d, spec.sigma, spec.eta) == ((40, 80), (2, 10, 20), (0.0, 0.1), (0.5,))
+    assert set(harness._SWEEP_KEYS) == {f.name for f in dataclasses.fields(SweepSpec)}
 
 
 def test_config_errors_carry_line_numbers(tmp_path):
@@ -478,7 +562,8 @@ def test_config_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ParseError, match=r"bad\.conf:3: unknown key 'bogus'"):
         load_config(path)
 
-    for line in ("fixed_axis = beta", "solver_tolerance = 1e-8", "solver_max_iterations = 9"):
+    for line in ("fixed_axis = beta", "solver_tolerance = 1e-8", "solver_max_iterations = 9",
+                 "n_list = 200,400", "d_list = 2,5", "sigma_list = 0.0,0.5"):
         path.write_text(f"mode = eta-sweep\nn = 32\n{line}\n")
         key = line.split(" ")[0]
         with pytest.raises(ParseError, match=rf"bad\.conf:3: unknown key '{key}'"):
@@ -501,10 +586,14 @@ def test_config_errors_carry_line_numbers(tmp_path):
         load_config(path)
 
     for line, reason in [
-        ("n_list = 200,4x0", "invalid literal for int"),
+        ("n = 200,4x0", "invalid literal for int"),
+        ("d = 2.5", "invalid literal for int"),
+        ("sigma = 0.0,lots", "could not convert string to float"),
         ("eta = 0.5,half", "could not convert string to float"),
         ("beta = 0:1:0", "steps must be at least 1"),
         ("zero_timings = yes", "invalid literal for int"),
+        ("zero_timings = 2", "expected 0 or 1, got 2"),
+        ("zero_timings = -1", "expected 0 or 1, got -1"),
     ]:
         path.write_text(f"mode = runtime\n{line}\n")
         key = line.split(" ")[0]

@@ -38,8 +38,7 @@ def _random_truth(seed, n=12, big_k=3, d=2):
     labels = rng.permutation(labels)
     # Re-anchor so every cluster is non-empty regardless of shuffling.
     transforms = haar_from_normals(rng.standard_normal((n, d, d)))
-    sizes = np.bincount(labels, minlength=big_k + 1)[1:]
-    return GroundTruth(n=n, K=big_k, d=d, labels=labels, transforms=transforms, sizes=sizes)
+    return GroundTruth(labels=labels, transforms=transforms)
 
 
 def _factors_from_r(r, d):
@@ -134,14 +133,7 @@ def test_sync_error_exact_match_hits_floor():
     # Identity transforms reproduce exactly (the alignment factor is the
     # exact identity), so the error is literal zero and the floor applies.
     n, d = 6, 2
-    gt = GroundTruth(
-        n=n,
-        K=2,
-        d=d,
-        labels=np.array([1, 1, 1, 2, 2, 2]),
-        transforms=np.stack([np.eye(d)] * n),
-        sizes=np.array([3, 3]),
-    )
+    gt = GroundTruth(labels=np.array([1, 1, 1, 2, 2, 2]), transforms=np.stack([np.eye(d)] * n))
     assert sync_error(gt.transforms, gt) == LOG_ZERO_FLOOR
     # Haar transforms reproduce to rounding only, far below any real error.
     hgt = _random_truth(3)
@@ -152,9 +144,7 @@ def test_sync_error_monotone_in_perturbation():
     # Rotate one node progressively; the aligned worst-case error grows.
     n, d = 6, 2
     labels = np.ones(n, dtype=np.int64)
-    gt = GroundTruth(
-        n=n, K=1, d=d, labels=labels, transforms=np.stack([np.eye(d)] * n), sizes=np.array([n])
-    )
+    gt = GroundTruth(labels=labels, transforms=np.stack([np.eye(d)] * n))
     values = []
     for theta in (1e-6, 1e-3, 1e-1):
         c, s = np.cos(theta), np.sin(theta)

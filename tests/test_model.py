@@ -74,15 +74,25 @@ def test_ground_truth_labels_contiguous():
 
 
 def test_ground_truth_rejects_bad_shapes():
-    with pytest.raises(ValidationError):
-        GroundTruth(n=3, K=2, d=1, labels=np.array([1, 1, 3]),
-                    transforms=np.ones((3, 1, 1)), sizes=np.array([2, 1]))
-    with pytest.raises(ValidationError):
-        GroundTruth(n=3, K=2, d=1, labels=np.array([1, 1, 1]),
-                    transforms=np.ones((3, 1, 1)), sizes=np.array([3, 0]))
-    with pytest.raises(ValidationError, match="n must be at least 1"):
-        GroundTruth(n=0, K=1, d=1, labels=np.zeros(0, np.int64),
-                    transforms=np.zeros((0, 1, 1)), sizes=np.array([0]))
+    with pytest.raises(ValidationError, match="^every cluster index in 1..K must appear"):
+        GroundTruth(labels=np.array([1, 1, 3]), transforms=np.ones((3, 1, 1)))
+    for labels in ([0, 1, 1], [1, 1, 4]):
+        with pytest.raises(ValidationError, match=r"^labels must lie in 1\.\.n$"):
+            GroundTruth(labels=np.array(labels), transforms=np.ones((3, 1, 1)))
+    for transforms in (np.ones((2, 1, 1)), np.ones((3, 1, 2)), np.ones((3, 1))):
+        with pytest.raises(ValidationError, match=r"^transforms must be an \(n, d, d\) stack$"):
+            GroundTruth(labels=np.array([1, 1, 2]), transforms=transforms)
+    with pytest.raises(ValidationError, match="^labels must be a non-empty 1-d array$"):
+        GroundTruth(labels=np.zeros(0, np.int64), transforms=np.zeros((0, 1, 1)))
+
+
+def test_ground_truth_derives_its_counts():
+    gt = GroundTruth(labels=np.array([2, 1, 3, 2, 2]), transforms=np.ones((5, 2, 2)))
+    assert (gt.n, gt.K, gt.d) == (5, 3, 2)
+    assert gt.sizes.tolist() == [1, 3, 1]
+    assert not gt.sizes.flags.writeable
+    with pytest.raises(TypeError):
+        GroundTruth(labels=np.array([1]), transforms=np.ones((1, 1, 1)), K=1)
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
@@ -188,8 +198,7 @@ def test_sampled_pairs_are_distinct_and_in_their_blocks(sizes, interleaved):
         # Labels need not be contiguous; cross pairs then unrank to either
         # orientation and must come back as i < j.
         perm = np.random.default_rng(0).permutation(n)
-        gt = GroundTruth(n=n, K=gt.K, d=2, labels=gt.labels[perm],
-                         transforms=gt.transforms, sizes=gt.sizes)
+        gt = GroundTruth(labels=gt.labels[perm], transforms=gt.transforms)
     # p and q at 0 or 1 pin each block's pair set exactly.
     for p, q in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
         a = generate_observation(gt, p, q, RandomSource(3))
@@ -456,7 +465,8 @@ def test_labeling_tolerates_empty_cluster(tmp_path):
     assert big_k == 2
     assert np.array_equal(got_labels, labels)
     assert np.array_equal(got_transforms, transforms)
-    with pytest.raises(ParseError):
+    # The labels alone name one cluster; the header's second is empty.
+    with pytest.raises(ParseError, match=r"every cluster index in 1\.\.2 must appear"):
         load_ground_truth(path)
 
 
