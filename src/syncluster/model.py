@@ -18,8 +18,9 @@ bit-reproducible from its seed alone and never depends on scheduling. The
 presence stream is read block by block, one (cluster a, cluster b) block of
 the pair triangle at a time with a <= b; the impostor and noise streams are
 read in the lexicographic order of the pairs they fill. Generation costs
-O(m) time and memory for m stored blocks; sigma > 0 stores every pair and
-is bounded by a memory budget instead.
+O(m) time and memory for m stored blocks, and fills the blocks over slices
+of the pair range, so no whole-length gather or draw sits beside them;
+sigma > 0 stores every pair and is bounded by a memory budget instead.
 """
 
 import struct
@@ -48,11 +49,17 @@ _STREAM_SOLVER = 4  # the eigensolver's starting basis
 # tile of its own.
 _MATVEC_TILE_ELEMS = 1 << 14
 
+# Block elements per slice of the pair range that generate_observation
+# fills at a time (1 MiB of blocks): its gathered transforms, normal draws
+# and Haar factors are then bounded by the slice, not by the stored blocks.
+_GENERATE_SLICE_ELEMS = 1 << 17
+
 # Largest noise-block payload (n(n-1)/2 * d^2 float64s) that sigma > 0 may
-# draw. The noise path peaks at a few times its block data (the noise, the
-# index grid and the pairs, which SparseBlockMatrix keeps without copying),
-# so a size over this fails with ValidationError before anything is
-# allocated, not with an out-of-memory kill partway through.
+# draw. The noise path peaks at about 1.4 times the bytes it stores (the
+# noise blocks and the pairs, which SparseBlockMatrix keeps without
+# copying, plus the index grid and the constructor's checks), so a size
+# over this fails with ValidationError before anything is allocated, not
+# with an out-of-memory kill partway through.
 _DENSE_NOISE_BUDGET_BYTES = 1 << 30
 
 # Largest n whose pair keys i*n + j < n**2 fit int64: isqrt(2**63 - 1).
@@ -384,6 +391,33 @@ def _unrank_triangle(ranks, s):
     return i, ranks - i * (b - i) // 2 + i + 1
 
 
+def _sample_pairs(gt, p, q, rng):
+    """The stored pairs of generate_observation, an (m, 2) int64 array in key order.
+
+    Its per-block arrays are freed on return, before the caller allocates
+    the blocks.
+    """
+    n, sizes = gt.n, gt.sizes.tolist()
+    members = np.split(np.argsort(gt.labels, kind="stable"), np.cumsum(sizes)[:-1])
+    keys = []
+    for a in range(gt.K):
+        for b in range(a, gt.K):
+            total = sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b]
+            count = rng.binomial(total, p if a == b else q)
+            ranks = rng.choice(total, count, replace=False)
+            if a == b:
+                x, y = _unrank_triangle(ranks, sizes[a])
+            else:
+                x, y = np.divmod(ranks, sizes[b])
+            u, v = members[a][x], members[b][y]
+            keys.append(np.minimum(u, v) * n + np.maximum(u, v))
+    keys = np.concatenate(keys)
+    keys.sort()
+    pairs = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs
+
+
 def generate_observation(gt, p, q, source):
     """Draw the random block observation matrix in O(m) time and memory.
 
@@ -397,9 +431,12 @@ def generate_observation(gt, p, q, source):
     block of the pair triangle, a <= b in order, the presence stream gives
     a Binomial(total, p or q) count and then that many distinct ranks among
     the block's total pairs, unranked to (i, j) by divmod (a < b) or the
-    triangle inverse (a == b); one sort of their keys i*n + j orders them.
-    Impostor blocks come from the cross stream in the sorted order of the
-    cross pairs.
+    triangle inverse (a == b); one in-place sort of their keys i*n + j
+    orders them. The blocks are then written over fixed-size slices of the
+    sorted pairs, each slice taking its impostor blocks from the cross
+    stream in the order of its cross pairs, so the stream is read in the
+    sorted order of all cross pairs and the gathers and draws beside the
+    stored blocks are bounded by one slice.
 
     Args:
         gt: GroundTruth.
@@ -414,33 +451,24 @@ def generate_observation(gt, p, q, source):
         raise ValidationError("p must lie in [0, 1]")
     if not 0.0 <= as_real(q, "q") <= 1.0:
         raise ValidationError("q must lie in [0, 1]")
-    n, d = gt.n, gt.d
-    sizes = gt.sizes.tolist()
-    members = np.split(np.argsort(gt.labels, kind="stable"), np.cumsum(sizes)[:-1])
-    rng = source.stream(_STREAM_PRESENCE)
-    keys = []
-    for a in range(gt.K):
-        for b in range(a, gt.K):
-            total = sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b]
-            count = rng.binomial(total, p if a == b else q)
-            ranks = rng.choice(total, count, replace=False)
-            if a == b:
-                x, y = _unrank_triangle(ranks, sizes[a])
-            else:
-                x, y = np.divmod(ranks, sizes[b])
-            u, v = members[a][x], members[b][y]
-            keys.append(np.minimum(u, v) * n + np.maximum(u, v))
-    i_arr, j_arr = np.divmod(np.sort(np.concatenate(keys)), n)
+    d = gt.d
+    pairs = _sample_pairs(gt, p, q, source.stream(_STREAM_PRESENCE))
 
-    within = gt.labels[i_arr] == gt.labels[j_arr]
-    data = np.empty((i_arr.size, d, d))
-    data[within] = np.matmul(gt.transforms[i_arr[within]],
-                             gt.transforms[j_arr[within]].transpose(0, 2, 1))
-    cross_count = i_arr.size - int(within.sum())
-    if cross_count:
-        z = source.stream(_STREAM_CROSS).standard_normal((cross_count, d, d))
-        data[~within] = haar_from_normals(z)
-    return SparseBlockMatrix(n, d, np.column_stack((i_arr, j_arr)), data, copy=False)
+    # Reading the cross stream in pieces, in pair order, gives the same
+    # draws as reading it at once.
+    data = np.empty((pairs.shape[0], d, d))
+    cross = source.stream(_STREAM_CROSS)
+    step = max(1, _GENERATE_SLICE_ELEMS // (d * d))
+    for lo in range(0, pairs.shape[0], step):
+        i_arr, j_arr = pairs[lo : lo + step].T
+        out = data[lo : lo + step]
+        within = gt.labels[i_arr] == gt.labels[j_arr]
+        out[within] = np.matmul(gt.transforms[i_arr[within]],
+                                gt.transforms[j_arr[within]].transpose(0, 2, 1))
+        cross_count = within.size - np.count_nonzero(within)
+        if cross_count:
+            out[~within] = haar_from_normals(cross.standard_normal((cross_count, d, d)))
+    return SparseBlockMatrix(gt.n, d, pairs, data, copy=False)
 
 
 def generate_instance(params):

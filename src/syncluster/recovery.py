@@ -198,7 +198,11 @@ def _components(n, pairs):
     while u.size:
         ru, rv = parent[u], parent[v]
         cross = ru != rv
-        u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+        # One at a time, so each old array is freed before the next is cut.
+        u = u[cross]
+        v = v[cross]
+        ru = ru[cross]
+        rv = rv[cross]
         np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
         while True:
             jumped = parent[parent]
@@ -257,7 +261,8 @@ def refine_transforms(a, result, cfg=None):
         flags = flags + (FLAG_DISCONNECTED_CLUSTER,)
     transforms = result.transforms.copy()
     # Stable splits keep each component's pairs, and their local ranks, in key
-    # order; each matrix is built inline, so it is freed before the next one.
+    # order. Each component's matrix, with its matvec plan, and its vectors
+    # are dropped at the end of its turn, before the next one is built.
     local = np.empty(a.n, dtype=np.int64)
     first = components[a.pairs[within, 0]]
     for nodes, group in zip(_split_by(components, count), _split_by(first, count)):
@@ -268,6 +273,7 @@ def refine_transforms(a, result, cfg=None):
         sub = SparseBlockMatrix(nodes.size, d, local[a.pairs[picked]], a.data[picked], copy=False)
         vectors = top_eigenpairs(sub, d, cfg, start=result.transforms[nodes].reshape(-1, d)).vectors
         transforms[nodes] = polar_decompose(vectors.reshape(-1, d, d))
+        del sub, vectors, picked
     return replace(result, transforms=transforms, flags=flags)
 
 

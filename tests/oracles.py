@@ -2,11 +2,12 @@
 
 Every routine here deliberately takes a different computational route from
 the code under test: Gram-Schmidt projection instead of Householder
-reflections, dense LAPACK eigendecompositions instead of iterative Lanczos,
-scipy's polar/Procrustes instead of our SVD assembly, scipy's graph search
-instead of our label propagation, np.isin and np.searchsorted cuts instead
-of a mask and a split of the stored pairs, per-node cross-grams instead of
-Gram GEMMs against cluster sums, Decimal arithmetic instead of float64.
+reflections for CPQR and the reverse for the Haar map, dense LAPACK
+eigendecompositions instead of iterative Lanczos, scipy's polar/Procrustes
+instead of our SVD assembly, scipy's graph search instead of our label
+propagation, np.isin and np.searchsorted cuts instead of a mask and a
+split of the stored pairs, per-node cross-grams instead of Gram GEMMs
+against cluster sums, Decimal arithmetic instead of float64.
 Tests compare the two routes; neither is derived from the other. The one
 exception is quadratic_control_slope, a known-quadratic kernel that
 calibrates the runtime bench's slope fitter.
@@ -128,6 +129,18 @@ def same_partition_oracle(est_labels, true_labels):
         return frozenset(frozenset(members) for members in clusters.values())
 
     return partition(est_labels) == partition(true_labels)
+
+
+def haar_qr_oracle(z):
+    """The Haar map through LAPACK's batched QR with a sign fix.
+
+    QR-factorizes each (d, d) slice of z and flips the columns of Q whose R
+    diagonal entry is negative, so R's diagonal is non-negative: the
+    sign-corrected QR map, exact Haar measure for standard-normal z.
+    """
+    q, r = np.linalg.qr(np.asarray(z, dtype=np.float64))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.where(diag < 0, -1.0, 1.0)[..., None, :]
 
 
 def dense_top_eigenpairs(dense, k):

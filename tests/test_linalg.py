@@ -146,6 +146,15 @@ def test_property_determinism_haar(seed, d):
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_haar_gram_schmidt_matches_sign_corrected_qr_oracle(rng, d):
+    for shape in ((d, d), (500, d, d)):
+        z = rng.standard_normal(shape)
+        q = haar_from_normals(z)
+        assert q.shape == shape
+        assert np.abs(q - oracles.haar_qr_oracle(z)).max() <= 1e-12
+
+
 def test_haar_sign_convention_nonnegative_r_diagonal(rng):
     z = rng.standard_normal((50, 4, 4))
     q = haar_from_normals(z)

@@ -1,5 +1,8 @@
 """Assignment, confidence, and the two refinement passes."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -415,6 +418,51 @@ def test_refine_transforms_splits_every_cluster_and_flags_empty_first():
     refined = refine_transforms(a, result)
     assert refined.flags == (FLAG_EMPTY_CLUSTER, FLAG_DISCONNECTED_CLUSTER)
     _assert_solved_per_component(a, result, refined, transforms, cliques)
+
+
+def test_refine_transforms_frees_each_component_before_the_next():
+    # Two clusters, two restricted solves. When the second matrix is built,
+    # the first one (its pairs, blocks and matvec plan) and its vectors must
+    # be gone: traced memory at both builds is the same up to a slack far
+    # below one component's share of the stored bytes.
+    n = 1600
+    p = 10 * math.log(n) / n
+    gt, a = generate_instance(ModelParams(n=n, K=2, d=2, p=p, q=p, seed=1))
+    given = RecoveryResult(labels=gt.labels, transforms=gt.transforms,
+                           confidence=np.ones(n), cluster_count=2)
+    traced = []
+
+    def build(*args, **kwargs):
+        traced.append(tracemalloc.get_traced_memory()[0])
+        return SparseBlockMatrix(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recovery, "SparseBlockMatrix", build)
+        tracemalloc.start()
+        try:
+            refine_transforms(a, given)
+        finally:
+            tracemalloc.stop()
+    assert len(traced) == 2
+    assert traced[1] - traced[0] < 0.02 * (a.data.nbytes + a.pairs.nbytes)
+
+
+def test_components_peak_stays_near_its_input():
+    # Random edges, nearly all joining two roots in the first round: the
+    # cut of each round's live edges replaces the previous one array at a
+    # time, so the pass never holds two generations of them at once.
+    rng = np.random.default_rng(3)
+    n, m = 6400, 140_000
+    ends = rng.integers(0, n, (m, 2))
+    pairs = np.column_stack((ends.min(axis=1), ends.max(axis=1)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        recovery._components(n, pairs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * pairs.nbytes
 
 
 @pytest.mark.parametrize("count", [6, 13])
