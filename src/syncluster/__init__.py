@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .cpqr import BlockCpqrFactors, apply_block_permutation, blockwise_cpqr
 from .eigensolver import EigenBasis, SolverConfig, top_eigenpairs
 from .errors import (
-    DomainError,
     NoConvergenceError,
     NonFiniteError,
     ParseError,
@@ -55,7 +54,6 @@ from .recovery import (
 
 __all__ = [
     "BlockCpqrFactors",
-    "DomainError",
     "EigenBasis",
     "GroundTruth",
     "ModelParams",

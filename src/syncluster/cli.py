@@ -143,7 +143,7 @@ def _cmd_solve(args):
         print(f"exact={int(exact_recovery(result.labels, gt.labels, big_k))}")
         print(f"sync_error_log={sync_error(result.transforms, gt)!r}")
         if big_k == 2:
-            print(f"snr_min={snr_ratio(factors, gt.labels, a.d)!r}")
+            print(f"snr_min={snr_ratio(factors, gt.labels)!r}")
     if args.out is not None:
         save_labeling(args.out, big_k, result.labels, result.transforms)
         print(f"wrote={args.out}")

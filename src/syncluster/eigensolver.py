@@ -35,27 +35,27 @@ _GAP_GATE_FRACTION = 0.25
 # treated as linearly dependent and replaced with fresh random directions.
 _BREAKDOWN_CUTOFF = 1e-10
 
+# Iteration cap: a solve still above tolerance after this many iterations
+# raises NoConvergenceError with its best iterate.
+_MAX_ITERATIONS = 5000
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration controls for the block Lanczos solver.
+    """Controls for the block Lanczos solver.
 
     tolerance is relative to the operator-norm estimate taken from the
     Ritz values. seed drives the random starting basis, keeping runs
-    reproducible.
+    reproducible. The iteration cap is fixed at 5000 (_MAX_ITERATIONS).
     """
 
     tolerance: float = 1e-8
-    max_iterations: int = 5000
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_iterations", "seed"):
-            object.__setattr__(self, name, as_index(getattr(self, name), name))
+        object.__setattr__(self, "seed", as_index(self.seed, "seed"))
         if not 0 < as_real(self.tolerance, "tolerance") < np.inf:
             raise ValidationError("tolerance must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be at least 1")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
 
@@ -125,7 +125,7 @@ def top_eigenpairs(a, k, cfg=None, start=None):
 
     Raises:
         NoConvergenceError: the residual is still above tolerance after
-            max_iterations; the error carries the best iterate in .best.
+            _MAX_ITERATIONS; the error carries the best iterate in .best.
         ValidationError: k out of range, bad config, or a start block
             of the wrong shape.
         NonFiniteError: start contains NaN or Inf.
@@ -163,7 +163,7 @@ def top_eigenpairs(a, k, cfg=None, start=None):
     v, _ = np.linalg.qr(block)
     av = np.ldexp(a.matvec(v), -exponent)
     best = None
-    for iteration in range(1, cfg.max_iterations + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         h = v.T @ av
         h = (h + h.T) / 2.0
         theta, y = np.linalg.eigh(h)
@@ -219,7 +219,7 @@ def top_eigenpairs(a, k, cfg=None, start=None):
             v = np.hstack([v, new])
             av = np.hstack([av, np.ldexp(a.matvec(new), -exponent)])
     raise NoConvergenceError(
-        f"no convergence after {cfg.max_iterations} iterations "
+        f"no convergence after {_MAX_ITERATIONS} iterations "
         f"(best residual {best.residual:.3e})",
         best=best,
     )

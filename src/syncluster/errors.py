@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the argument type checks.
 
 All errors raised by library code derive from SynclusterError so callers
-can catch one base type at API boundaries. The CLI maps every
+can catch one base type at API boundaries; a statistic evaluated where it
+diverges returns +inf rather than raising. The CLI maps every
 SynclusterError to exit code 1 and I/O problems to exit code 2.
 """
 
@@ -33,10 +34,6 @@ class ParseError(SynclusterError):
 
 class NonFiniteError(ValidationError):
     """A matrix argument contains NaN or Inf entries."""
-
-
-class DomainError(ValidationError):
-    """A scalar argument lies outside the mathematical domain of a formula."""
 
 
 class WrongKError(ValidationError):

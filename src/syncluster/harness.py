@@ -9,9 +9,11 @@ mean row per cell; the runtime bench is one sweep with a warm-up plus
 _BENCH_REPS trials per cell, reduced to per-phase medians and fitted
 log-log slopes. Every trial derives a private integer sub-seed from
 (master seed, cell index, trial index), so results are bit-reproducible
-and independent of worker count and scheduling. Per-trial failures are
-recorded as flagged rows and never abort the sweep; the bench raises on
-them, since a failed trial has no timings.
+and independent of worker count and scheduling. A trial solves at the
+SolverConfig defaults, seeded with its sub-seed, and refine_clusters
+re-votes its REFINE_FRACTION (0.10) least-confident nodes. Per-trial
+failures are recorded as flagged rows and never abort the sweep; the
+bench raises on them, since a failed trial has no timings.
 
 Science columns are deterministic given (config, seed); wall-clock timing
 columns are not, so the zero_timings switch exists to blank them when
@@ -30,12 +32,10 @@ import numpy as np
 from . import __version__
 from .cpqr import blockwise_cpqr
 from .eigensolver import SolverConfig, top_eigenpairs
-from .errors import (
-    DomainError, ParseError, SynclusterError, ValidationError, as_index, as_real, as_values,
-)
+from .errors import ParseError, SynclusterError, ValidationError, as_index, as_real, as_values
 from .metrics import alpha_for_eta, beta_for_eta, eta, exact_recovery, snr_ratio, sync_error
 from .model import ModelParams, RandomSource, generate_instance
-from .recovery import assign_and_extract, refine_clusters, refine_transforms
+from .recovery import REFINE_FRACTION, assign_and_extract, refine_clusters, refine_transforms
 
 MODES = ("grid", "eta-sweep", "runtime", "snr", "noise-grid")
 REFINE_CHOICES = ("none", "clusters", "transforms", "both")
@@ -57,7 +57,6 @@ _TIMING_NOTE = "monotonic clock, per-phase wall time"
 # Thread-count variables of the BLAS builds numpy ships with or links.
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-FLAG_NO_CONVERGENCE = "NoConvergence"
 FLAG_DEGENERATE_GAP = "DegenerateGap"
 FLAG_RANK_DEFICIENT = "RankDeficient"
 
@@ -69,7 +68,8 @@ class SweepSpec:
     n, d and sigma are the size, block-size and noise axes; alpha, beta
     and eta are density axes, and p and q absolute probabilities (see
     resolve_cells for the forms the density may take). mode names the
-    study in the CSV and sends runtime specs to the bench.
+    study in the CSV and sends runtime specs to the bench. refine picks
+    the passes; their settings are fixed (see the module docstring).
     """
 
     mode: str
@@ -85,7 +85,6 @@ class SweepSpec:
     sigma: tuple = (0.0,)
     trials: int = 20
     refine: str = "none"
-    fraction: float = 0.10
     seed: int = 0
     workers: int = 1
     zero_timings: bool = False
@@ -109,14 +108,12 @@ class SweepSpec:
         for name in ("n", "d"):
             for value in as_values(getattr(self, name), name):
                 as_index(value, name)
-        for name in ("fraction", "p", "q"):
+        for name in ("p", "q"):
             if getattr(self, name) is not None:
                 as_real(getattr(self, name), name)
         for name in ("alpha", "beta", "eta", "sigma"):
             for value in as_values(getattr(self, name), name):
                 as_real(value, name)
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValidationError("fraction must lie in [0, 1]")
         return resolve_cells(self)
 
 
@@ -157,14 +154,10 @@ def _cell(spec, n, d, density, sigma):
         p = _derived_prob(alpha, n, "alpha")
         q = _derived_prob(beta, n, "beta")
     params = ModelParams(n=n, K=spec.K, d=d, p=p, q=q, sizes=spec.sizes, sigma=sigma)
-    try:
-        cell_eta = eta(n, p, q, d)
-    except DomainError:  # p = 0
-        cell_eta = float("inf")
     return {
         "mode": spec.mode, "n": n, "K": spec.K, "d": d,
         "alpha": alpha, "beta": beta, "p": p, "q": q,
-        "sigma": sigma, "eta": cell_eta, "params": params,
+        "sigma": sigma, "eta": eta(n, p, q, d), "params": params,
     }
 
 
@@ -194,14 +187,15 @@ def resolve_cells(spec):
     ]
 
 
-def run_pipeline(a, big_k, d, cfg, refine="none", fraction=0.10):
+def run_pipeline(a, big_k, d, cfg, refine="none", fraction=REFINE_FRACTION):
     """Eigensolve, factor, assign, optionally refine; time each phase.
 
-    The global eigensolve runs to cfg.tolerance when its transforms are
-    the output (refine none or clusters). When refine_transforms replaces
-    them (refine transforms or both), the global basis only feeds the
-    labels, so it runs to sqrt(cfg.tolerance), 1e-4 at the default, and
-    the restricted solves keep cfg.tolerance.
+    cfg=None means SolverConfig(). The global eigensolve runs to
+    cfg.tolerance when its transforms are the output (refine none or
+    clusters). When refine_transforms replaces them (refine transforms or
+    both), the global basis only feeds the labels, so it runs to
+    sqrt(cfg.tolerance), 1e-4 at the default, and the restricted solves
+    keep cfg.tolerance.
 
     Returns:
         (factors, result, timings, flags): timings is a dict of phase
@@ -218,6 +212,8 @@ def run_pipeline(a, big_k, d, cfg, refine="none", fraction=0.10):
         raise ValidationError(f"d must equal the matrix's block size {a.d}, got {d}")
     if refine not in REFINE_CHOICES:
         raise ValidationError(f"refine must be one of {'/'.join(REFINE_CHOICES)}")
+    if cfg is None:
+        cfg = SolverConfig()
     flags = []
     solves_transforms = refine in ("transforms", "both")
     global_cfg = replace(cfg, tolerance=math.sqrt(cfg.tolerance)) if solves_transforms else cfg
@@ -269,12 +265,10 @@ def _run_trial(task):
     # error's name (NoConvergenceError -> NoConvergence), never an abort;
     # generation stays outside so a bad config still fails fast.
     try:
-        factors, result, timings, flags = run_pipeline(
-            a, cell["K"], cell["d"], cfg, spec.refine, spec.fraction
-        )
+        factors, result, timings, flags = run_pipeline(a, cell["K"], cell["d"], cfg, spec.refine)
         exact = int(exact_recovery(result.labels, gt.labels, cell["K"]))
         error_log = sync_error(result.transforms, gt)
-        snr_min = snr_ratio(factors, gt.labels, cell["d"]) if cell["K"] == 2 else None
+        snr_min = snr_ratio(factors, gt.labels) if cell["K"] == 2 else None
     except SynclusterError as exc:
         values["exact"] = 0
         values["flags"] = [type(exc).__name__.removesuffix("Error")]
@@ -499,7 +493,6 @@ _SWEEP_KEYS = {
     "sigma": _floats,
     "trials": int,
     "refine": str,
-    "fraction": float,
     "seed": int,
     "workers": int,
     "zero_timings": _switch,

@@ -10,9 +10,7 @@ value numeric in CSV output.
 
 import numpy as np
 
-from .errors import (
-    DomainError, ValidationError, WrongKError, as_floats, as_index, as_indices, as_real,
-)
+from .errors import ValidationError, WrongKError, as_floats, as_index, as_indices, as_real
 from .linalg import polar_decompose
 
 # Stand-in for log(0): below the log of the smallest positive double.
@@ -97,19 +95,19 @@ def eta(n, p, q, d):
     """The recovery-threshold statistic of the random block model.
 
     sqrt((p(1-p) + q) * log(n d)) / (p * sqrt(n)), natural log. Small
-    values put the instance deep inside the exactly-recoverable regime.
+    values put the instance deep inside the exactly-recoverable regime;
+    at p = 0 the statistic diverges, and the value is +inf (q = 0 too).
 
     Args:
         n: node count, >= 2.
-        p: within-cluster probability in (0, 1].
+        p: within-cluster probability in [0, 1].
         q: cross-cluster probability in [0, 1].
         d: block dimension, >= 1.
 
     Returns:
-        float.
+        float, +inf at p = 0.
 
     Raises:
-        DomainError: p == 0 (the statistic diverges).
         ValidationError: any argument outside its range.
     """
     _check_arguments(n, d, p=p, q=q)
@@ -118,7 +116,7 @@ def eta(n, p, q, d):
     if not 0.0 <= p <= 1.0:
         raise ValidationError("p must lie in [0, 1]")
     if p == 0.0:
-        raise DomainError("eta is undefined at p = 0")
+        return float("inf")
     return float(np.sqrt((p * (1.0 - p) + q) * np.log(n * d)) / (p * np.sqrt(n)))
 
 
@@ -182,7 +180,7 @@ def alpha_for_eta(target, beta, n, d):
     return float(p * n / log_n)
 
 
-def snr_ratio(factors, true_labels, d):
+def snr_ratio(factors, true_labels):
     """Two-cluster separation: min over the first true cluster of the
     signal-to-impostor block-row norm ratio.
 
@@ -192,9 +190,8 @@ def snr_ratio(factors, true_labels, d):
     true cluster. A vanishing denominator gives +inf.
 
     Args:
-        factors: BlockCpqrFactors with exactly two block rows.
+        factors: BlockCpqrFactors with exactly two block rows of factors.d.
         true_labels: true cluster labels, values in {1, 2}.
-        d: block dimension.
 
     Returns:
         float, possibly +inf.
@@ -202,9 +199,7 @@ def snr_ratio(factors, true_labels, d):
     Raises:
         WrongKError: the factorization does not have exactly 2 block rows.
     """
-    r = factors.r
-    if d != factors.d:
-        raise ValidationError("d disagrees with the factorization's block size")
+    r, d = factors.r, factors.d
     if r.shape[0] != 2 * d:
         raise WrongKError("the ratio is defined for exactly two clusters")
     labels = as_indices(true_labels, "true_labels")

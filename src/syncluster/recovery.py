@@ -17,13 +17,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .eigensolver import top_eigenpairs
-from .errors import ValidationError, as_index, as_indices, as_real
+from .errors import ValidationError, as_floats, as_index, as_indices, as_real
 from .linalg import polar_decompose
 from .model import SparseBlockMatrix
 
 # Block columns with total norm below this are treated as all-zero: the
 # node gets cluster 1, the identity transform, and confidence 0.
 _ZERO_COLUMN_CUTOFF = 1e-12
+
+# Share of least-confident nodes refine_clusters re-examines by default,
+# and in every sweep trial.
+REFINE_FRACTION = 0.10
 
 FLAG_ZERO_COLUMN = "ZeroColumn"
 FLAG_EMPTY_CLUSTER = "EmptyCluster"
@@ -103,7 +107,7 @@ def assign_and_extract(factors, big_k, d):
     )
 
 
-def refine_clusters(factors, result, fraction=0.10):
+def refine_clusters(factors, result, fraction=REFINE_FRACTION):
     """Re-assign the least-confident fraction of nodes by block similarity.
 
     The `fraction` quantile of the confidence distribution picks the
@@ -127,20 +131,28 @@ def refine_clusters(factors, result, fraction=0.10):
 
     Returns:
         New RecoveryResult.
+
+    Raises:
+        ValidationError: fraction lies outside [0, 1], or labels or
+            confidence do not hold one entry per block column.
     """
     if not 0.0 <= as_real(fraction, "fraction") <= 1.0:
         raise ValidationError("fraction must lie in [0, 1]")
     r = factors.r
     d = factors.d
     n = r.shape[1] // d
-    onehot = result.labels[:, None] == np.arange(1, result.cluster_count + 1)
-    if onehot.shape[0] != n or not onehot.any(axis=1).all():
+    labels = as_indices(result.labels, "labels")
+    onehot = labels[:, None] == np.arange(1, result.cluster_count + 1)
+    if labels.shape != (n,) or not onehot.any(axis=1).all():
         raise ValidationError("labels must give each block column a cluster in 1..cluster_count")
+    confidence = as_floats(result.confidence, "confidence")
+    if confidence.shape != (n,):
+        raise ValidationError(f"confidence must hold one value per block column, shape ({n},)")
     count = int(round(fraction * n))
     if count == 0:
         return result
 
-    order = np.argsort(result.confidence, kind="stable")
+    order = np.argsort(confidence, kind="stable")
     examined = order[:count]
 
     sizes = onehot.sum(axis=0)
@@ -152,7 +164,7 @@ def refine_clusters(factors, result, fraction=0.10):
     gram = (blocks @ blocks.transpose(0, 2, 1)).reshape(n, -1)
     sums = onehot.T @ gram
     scores = np.where(sizes > 0, (gram[examined] @ sums.T) / np.maximum(sizes, 1), -np.inf)
-    labels = result.labels.copy()
+    labels = labels.copy()
     labels[examined] = np.argmax(scores, axis=1) + 1
     return replace(result, labels=labels, flags=flags)
 
@@ -243,13 +255,17 @@ def refine_transforms(a, result, cfg=None):
         with no within-cluster pair). Labels and confidence carry over.
 
     Raises:
-        ValidationError: the labels do not give each node of a a cluster.
+        ValidationError: the labels do not give each node of a a cluster,
+            or transforms is not one d x d block per node of a.
         NoConvergenceError: propagated from the eigensolver.
         NonFiniteError: a restricted eigenvector block is not finite.
     """
-    labels, d = result.labels, a.d
+    labels, d = as_indices(result.labels, "labels"), a.d
     if labels.shape != (a.n,) or labels.min() < 1 or labels.max() > result.cluster_count:
         raise ValidationError("labels must give each node of a a cluster in 1..cluster_count")
+    given = as_floats(result.transforms, "transforms")
+    if given.shape != (a.n, d, d):
+        raise ValidationError(f"transforms must be one block per node, shape ({a.n}, {d}, {d})")
     nonempty = np.count_nonzero(np.bincount(labels))
     within = np.flatnonzero(np.equal(*labels[a.pairs].T))
     components = _components(a.n, a.pairs[within])
@@ -259,7 +275,7 @@ def refine_transforms(a, result, cfg=None):
         flags = flags + (FLAG_EMPTY_CLUSTER,)
     if count > nonempty and FLAG_DISCONNECTED_CLUSTER not in flags:
         flags = flags + (FLAG_DISCONNECTED_CLUSTER,)
-    transforms = result.transforms.copy()
+    transforms = given.copy()
     # Stable splits keep each component's pairs, and their local ranks, in key
     # order. Each component's matrix, with its matvec plan, and its vectors
     # are dropped at the end of its turn, before the next one is built.
@@ -271,7 +287,7 @@ def refine_transforms(a, result, cfg=None):
         local[nodes] = np.arange(nodes.size)
         picked = within[group]
         sub = SparseBlockMatrix(nodes.size, d, local[a.pairs[picked]], a.data[picked], copy=False)
-        vectors = top_eigenpairs(sub, d, cfg, start=result.transforms[nodes].reshape(-1, d)).vectors
+        vectors = top_eigenpairs(sub, d, cfg, start=given[nodes].reshape(-1, d)).vectors
         transforms[nodes] = polar_decompose(vectors.reshape(-1, d, d))
         del sub, vectors, picked
     return replace(result, transforms=transforms, flags=flags)

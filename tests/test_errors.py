@@ -57,7 +57,6 @@ def _refine_clusters(fraction):
 
 @pytest.mark.parametrize("name, call", [
     ("n", lambda: generate_instance(ModelParams(n=10.5, K=2, d=2, p=0.5, q=0.1))),
-    ("max_iterations", lambda: top_eigenpairs(_instance(), 4, SolverConfig(max_iterations=2.5))),
     ("trials", lambda: run_sweep(_spec(trials=1.5))),
     ("workers", lambda: run_sweep(_spec(trials=1, workers=2.5))),
     ("d", lambda: blockwise_cpqr(np.eye(4, 8), 2.0)),
@@ -89,7 +88,6 @@ def test_non_integer_arguments_fail_typed_and_named(name, call):
     ("q", lambda: ModelParams(n=10, K=2, d=2, p=0.5, q=None)),
     ("sigma", lambda: ModelParams(n=10, K=2, d=2, p=0.5, q=0.1, sigma="0.3")),
     ("tolerance", lambda: SolverConfig(tolerance="1e-8")),
-    ("fraction", lambda: _spec(fraction="0.1").validate()),
     ("p", lambda: SweepSpec(mode="snr", n=(32,), d=(1,), p="0.5", q=0.5).validate()),
     ("q", lambda: SweepSpec(mode="snr", n=(32,), d=(1,), p=0.5, q=[0.5]).validate()),
     ("sigma", lambda: _spec(sigma=("0.3",)).validate()),
@@ -162,7 +160,7 @@ def test_non_numeric_arrays_fail_typed_and_named(name, call):
                  id="perm-apply_block_permutation"),
     pytest.param("est_labels", lambda: exact_recovery([[1, 2], [1]], [1, 2], 2),
                  id="ragged-est_labels-exact_recovery"),
-    pytest.param("true_labels", lambda: snr_ratio(_factors(), [1.4] * 6 + [2] * 6, 2),
+    pytest.param("true_labels", lambda: snr_ratio(_factors(), [1.4] * 6 + [2] * 6),
                  id="true_labels-snr_ratio"),
 ])
 def test_non_integral_labels_fail_typed_and_named(name, call):
@@ -188,7 +186,7 @@ def test_writers_reject_counts_the_header_cannot_hold(tmp_path, save, k):
 def test_snr_ratio_rejects_labels_outside_two_clusters():
     # A label of 3 used to be read silently as "not cluster 1".
     with pytest.raises(ValidationError, match=r"^true_labels must lie in \{1, 2\}"):
-        snr_ratio(_factors(), [1] * 6 + [2] * 5 + [3], 2)
+        snr_ratio(_factors(), [1] * 6 + [2] * 5 + [3])
 
 
 @pytest.mark.parametrize("shape", [(23, 2), (24, 5), (24, 0), (24,), (24, 2, 1)])

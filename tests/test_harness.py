@@ -33,7 +33,6 @@ from syncluster.harness import (
     CSV_COLUMNS,
     CSV_SCHEMA_VERSION,
     FLAG_DEGENERATE_GAP,
-    FLAG_NO_CONVERGENCE,
     FLAG_RANK_DEFICIENT,
     SweepSpec,
     fit_loglog_slope,
@@ -184,6 +183,11 @@ def test_snr_cells_have_no_default_probabilities():
         resolve_cells(replace(spec, p=None, q=None))
 
 
+def test_cells_without_within_cluster_edges_have_infinite_eta():
+    spec = _small_spec(mode="snr", alpha=(), beta=(), p=0.0, q=0.5)
+    assert resolve_cells(spec)[0]["eta"] == math.inf
+
+
 def test_runtime_cells_sit_at_the_bench_density():
     # The bundled bench config gives its density, p = q = 10 log(n)/n, as
     # alpha = beta = 10; every other axis a runtime spec sets is used too.
@@ -214,8 +218,6 @@ def test_spec_validation_messages():
         _small_spec(trials=0).validate()
     with pytest.raises(ValidationError, match="workers"):
         _small_spec(workers=0).validate()
-    with pytest.raises(ValidationError, match="fraction"):
-        _small_spec(fraction=1.5).validate()
     with pytest.raises(ValidationError, match="^n must list at least one size$"):
         SweepSpec(mode="grid", alpha=(1.0,), beta=(1.0,)).validate()
     with pytest.raises(ValidationError, match="^n must list at least one size$"):
@@ -355,7 +357,7 @@ def test_nonconvergent_trials_become_flagged_rows(tmp_path, monkeypatch):
     out = tmp_path / "fail.csv"
     monkeypatch.setattr(harness, "top_eigenpairs", _stalled)
     results, summaries = run_sweep(_small_spec(trials=2), out)
-    assert all(v["flags"] == [FLAG_NO_CONVERGENCE] for v in results)
+    assert all(v["flags"] == ["NoConvergence"] for v in results)
     assert all(v["exact"] == 0 for v in results)
     assert all(v["sync_error_log"] is None for v in results)
     assert summaries[0]["exact"] == 0.0
@@ -364,7 +366,7 @@ def test_nonconvergent_trials_become_flagged_rows(tmp_path, monkeypatch):
         rows = list(csv.reader(fh))
     flag_col = CSV_COLUMNS.index("flags")
     sync_col = CSV_COLUMNS.index("sync_error_log")
-    assert rows[1][flag_col] == FLAG_NO_CONVERGENCE
+    assert rows[1][flag_col] == "NoConvergence"
     assert rows[1][sync_col] == ""
 
 
@@ -530,7 +532,6 @@ def test_config_round_trip(tmp_path):
         "beta = 0.5,1.0\n"
         "trials = 4\n"
         "refine = clusters\n"
-        "fraction = 0.2\n"
         "seed = 9\n"
         "zero_timings = 1\n"
     )
@@ -540,7 +541,6 @@ def test_config_round_trip(tmp_path):
     assert spec.beta == (0.5, 1.0)
     assert spec.trials == 4
     assert spec.refine == "clusters"
-    assert spec.fraction == 0.2
     assert spec.zero_timings is True
 
 
@@ -563,7 +563,7 @@ def test_config_errors_carry_line_numbers(tmp_path):
         load_config(path)
 
     for line in ("fixed_axis = beta", "solver_tolerance = 1e-8", "solver_max_iterations = 9",
-                 "n_list = 200,400", "d_list = 2,5", "sigma_list = 0.0,0.5"):
+                 "fraction = 0.10", "n_list = 200,400", "d_list = 2,5", "sigma_list = 0.0,0.5"):
         path.write_text(f"mode = eta-sweep\nn = 32\n{line}\n")
         key = line.split(" ")[0]
         with pytest.raises(ParseError, match=rf"bad\.conf:3: unknown key '{key}'"):
@@ -672,6 +672,17 @@ def test_run_pipeline_rejects_big_k_outside_one_to_n(big_k):
     _, a = syncluster.generate_instance(syncluster.ModelParams(n=40, K=2, d=2, p=0.6, q=0.1, seed=1))
     with pytest.raises(ValidationError, match=f"^big_k must lie in 1..40, got {big_k}$"):
         harness.run_pipeline(a, big_k, 2, syncluster.SolverConfig(seed=1))
+
+
+@pytest.mark.parametrize("refine", harness.REFINE_CHOICES)
+def test_run_pipeline_without_a_config_solves_at_the_defaults(refine):
+    # None under transforms and both used to end in replace(None, ...).
+    _, a = syncluster.generate_instance(syncluster.ModelParams(n=40, K=2, d=2, p=0.6, q=0.1, seed=1))
+    _, result, _, flags = harness.run_pipeline(a, 2, 2, None, refine)
+    _, want, _, want_flags = harness.run_pipeline(a, 2, 2, syncluster.SolverConfig(), refine)
+    np.testing.assert_array_equal(result.labels, want.labels)
+    np.testing.assert_array_equal(result.transforms, want.transforms)
+    assert flags == want_flags
 
 
 @pytest.mark.parametrize("d", [1, 3])

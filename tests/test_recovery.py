@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -485,6 +486,46 @@ def test_refinements_reject_labels_outside_the_clusters(stray):
         refine_transforms(a, wrong)
     with pytest.raises(ValidationError, match="1..cluster_count"):
         refine_clusters(factors, wrong)
+
+
+def _misfit(field, value):
+    _, a, factors, result = _clean_recovery(40, 2, 2, seed=1, p=0.5, q=0.05)
+    return a, factors, replace(result, **{field: value})
+
+
+@pytest.mark.parametrize("length", [10, 80])
+def test_refine_clusters_rejects_confidence_not_one_per_node(length):
+    # Length 80 with zeros past node 39 used to index out of range; length
+    # 10 used to re-vote 10 nodes where fraction 0.5 asks for 20.
+    confidence = np.ones(length)
+    confidence[length * 3 // 4 :] = 0.0
+    _, factors, wrong = _misfit("confidence", confidence)
+    with pytest.raises(ValidationError, match=r"^confidence must hold one value per block column"):
+        refine_clusters(factors, wrong, 0.5)
+
+
+@pytest.mark.parametrize("shape", [(39, 2, 2), (41, 2, 2), (40, 2, 3), (40, 4)],
+                         ids=["39-nodes", "41-nodes", "2x3-blocks", "flat"])
+def test_refine_transforms_rejects_transforms_not_one_block_per_node(shape):
+    # (39, 2, 2) used to end in an IndexError from the last component.
+    a, _, wrong = _misfit("transforms", np.zeros(shape))
+    with pytest.raises(ValidationError, match=r"^transforms must be one block per node"):
+        refine_transforms(a, wrong)
+
+
+def test_refinements_read_labels_through_the_index_check():
+    # A list of labels used to end in AttributeError: no .shape.
+    _, a, factors, result = _clean_recovery(40, 2, 2, seed=1, p=0.5, q=0.05)
+    listed = replace(result, labels=list(result.labels))
+    np.testing.assert_array_equal(refine_transforms(a, listed).transforms,
+                                  refine_transforms(a, result).transforms)
+    np.testing.assert_array_equal(refine_clusters(factors, listed, 0.5).labels,
+                                  refine_clusters(factors, result, 0.5).labels)
+    fractional = replace(result, labels=result.labels + 0.5)
+    with pytest.raises(ValidationError, match="^labels must be integers"):
+        refine_transforms(a, fractional)
+    with pytest.raises(ValidationError, match="^labels must be integers"):
+        refine_clusters(factors, fractional)
 
 
 def test_refine_transforms_flags_empty_cluster_and_keeps_rest():
