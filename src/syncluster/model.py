@@ -250,23 +250,30 @@ class SparseBlockMatrix:
 
     def _matvec_tiles(self):
         # Slots grouped by destination node, one direction at a time: the
-        # transposes of stored (i, j) blocks feed j (through one stable sort
-        # by j), then the blocks as stored feed i (the pairs being sorted by
-        # i already). Per direction, the nodes of nonzero degree are taken in
-        # ascending order of degree (stable) and cut into tiles of at most
-        # the budget in slots; a tile's width is its last node's degree, so
-        # padding is rare. Padded slots read row n, the zero row appended to
-        # the operand. A tile is (transposed, nodes, width, source nodes,
-        # block indices); an index array that is an ascending contiguous run
-        # is stored as a slice, which the matvec reads as a view. Building
-        # tile by tile with int32 indices keeps the plan and its temporaries
+        # transposes of stored (i, j) blocks feed j, then the blocks as
+        # stored feed i (the pairs being sorted by i already). The j-order
+        # sorts the distinct keys j*n + i, so it is the stable order by j of
+        # pairs stored by key i*n + j, whatever the sort kind. Per
+        # direction, the nodes of nonzero degree are taken in ascending
+        # order of degree (stable) and cut into tiles of at most the budget
+        # in slots; a tile's width is its last node's degree, so padding is
+        # rare. Padded slots read row n, the zero row appended to the
+        # operand. A tile is (transposed, nodes, width, source nodes, block
+        # indices); an index array that is an ascending contiguous run is
+        # stored as a slice, which the matvec reads as a view. Building tile
+        # by tile with int32 indices keeps the plan and its temporaries
         # small: whole-array int64 builds left enough heap behind at n=6400
-        # to raise the next instance's peak memory by ~9%.
+        # to raise the next instance's peak memory by ~9%. The one int64
+        # array, the sort key, is freed before the tiles are built.
         if self._matvec_cache is None:
             n, m, d = self.n, self.pair_count, self.d
             index_type = np.int32 if max(n, m) < 2**31 else np.int64
             i_arr, j_arr = self.pairs.astype(index_type).T
-            jorder = np.argsort(j_arr, kind="stable").astype(index_type)
+            key = j_arr.astype(np.int64)
+            key *= n
+            key += i_arr
+            jorder = np.argsort(key).astype(index_type)
+            del key
             budget = max(1, _MATVEC_TILE_ELEMS // (d * d))
             tiles = []
             for transposed, deg, src, blk in (

@@ -115,3 +115,16 @@ def test_benchmark_cell_reproduces_its_pinned_outputs(workload, seed):
         assert sync_error(result.transforms, gt) <= SYNC_LOG_CEILING
     else:
         assert math.isclose(sync_error(result.transforms, gt), error_log, rel_tol=REL_TOL)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sparse_large_cell_is_exact_without_the_re_vote(seed):
+    # refine=transforms runs the global solve only to 1e-2 and has no
+    # refine_clusters re-vote, so the loose basis's labels are the output:
+    # where the loose solve would cost a label, it shows here first.
+    cell, _ = BENCHMARK_CELLS["sparse-large"]
+    gt, a = generate_instance(ModelParams(seed=seed, **cell))
+    _, result, _, flags = run_pipeline(a, cell["K"], cell["d"], SolverConfig(seed=seed), "transforms")
+    assert flags == []
+    assert exact_recovery(result.labels, gt.labels, cell["K"])
+    assert sync_error(result.transforms, gt) <= SYNC_LOG_CEILING

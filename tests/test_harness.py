@@ -326,6 +326,60 @@ def test_sweep_independent_of_worker_count(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_sweep_runs_trials_round_robin_and_returns_them_by_cell(monkeypatch):
+    # Round t runs every cell before round t + 1; rows, summaries and
+    # sub-seeds still follow (cell, trial).
+    order = []
+    real = harness._run_trial
+
+    def recording(task):
+        cell, trial, _, _ = task
+        order.append((cell["alpha"], trial))
+        return real(task)
+
+    monkeypatch.setattr(harness, "_run_trial", recording)
+    alphas, trials = (6.0, 7.0, 8.0), 3
+    results, summaries = run_sweep(_small_spec(alpha=alphas, trials=trials))
+    assert order == [(a, t) for t in range(trials) for a in alphas]
+    master = syncluster.RandomSource(7)
+    assert [(v["alpha"], v["trial"], v["subseed"]) for v in results] == [
+        (a, t, master.subseed(ci, t)) for ci, a in enumerate(alphas) for t in range(trials)
+    ]
+    assert [s["alpha"] for s in summaries] == list(alphas)
+
+
+def _start_thread_variables(_):
+    # /proc/self/environ holds the environment the process was started
+    # with: a forked worker shows its parent's, whatever it set later.
+    with open("/proc/self/environ", "rb") as fh:
+        start = dict(entry.split(b"=", 1) for entry in fh.read().split(b"\0") if b"=" in entry)
+    return {name: start.get(name.encode(), b"").decode() or None for name in harness._THREAD_VARIABLES}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/environ"), reason="needs /proc/self/environ")
+def test_sweep_workers_start_with_one_blas_thread(tmp_path, monkeypatch):
+    # BLAS reads its thread variables when numpy loads, so workers must
+    # start with them: every variable the caller left unset is pinned to 1
+    # and the ones it set are kept. The parent's environment is left as it
+    # was, and the manifest records what the workers ran with.
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    want = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "1"}
+    with harness._worker_pool(2) as pool:
+        seen = list(pool.map(_start_thread_variables, range(4)))
+    assert seen == [want] * 4
+    assert "OPENBLAS_NUM_THREADS" not in os.environ and "MKL_NUM_THREADS" not in os.environ
+
+    out = tmp_path / "sweep.csv"
+    run_sweep(_small_spec(trials=2, workers=2), out)
+    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+    assert manifest["worker_thread_variables"] == want
+    run_sweep(_small_spec(trials=1), out)
+    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+    assert manifest["worker_thread_variables"] is None
+
+
 def test_transform_refinement_sweeps_recover_and_time_every_phase(tmp_path):
     out = tmp_path / "sweep.csv"
     for refine in ("transforms", "both"):
@@ -485,8 +539,9 @@ def test_runtime_bench_takes_medians_after_the_warm_up(monkeypatch):
     monkeypatch.setattr(harness, "run_pipeline", counted)
     rows, _ = run_runtime_bench(_BENCH)
     got = {(n, phase): ms for n, phase, ms in rows}
-    # Calls 0-5 are n=48 and 6-11 are n=96; calls 0 and 6 are warm-ups.
-    for n, k in ((48, 3.0), (96, 9.0)):
+    # The repetitions run round-robin over n: even calls 0-10 are n=48 and
+    # odd calls 1-11 are n=96; calls 0 and 1, round 0, are the warm-ups.
+    for n, k in ((48, 6.0), (96, 7.0)):
         assert got[n, "eigen"] == got[n, "refine"] == k
         assert (got[n, "excl_eigen"], got[n, "total"]) == (3 * k, 4 * k)
 
@@ -699,12 +754,10 @@ def test_run_pipeline_rejects_d_unequal_to_the_matrix_block_size(d):
 def test_global_solve_is_loose_only_when_transforms_are_resolved(monkeypatch, refine, loose):
     # The global basis feeds the output transforms under none and clusters,
     # so it keeps the configured tolerance; under transforms and both it
-    # only feeds labels and runs to the square root. Restricted solves keep
-    # the configured tolerance either way.
+    # only feeds labels and runs to 1e-2, or to a looser configured
+    # tolerance. Restricted solves keep the configured tolerance either way.
     params = syncluster.ModelParams(n=24, K=2, d=2, p=1.0, q=0.0, seed=1)
     _, a = syncluster.generate_instance(params)
-    cfg = syncluster.SolverConfig(tolerance=1e-6, seed=1)
-    seen = {"global": [], "restricted": []}
 
     def recording(kind):
         def solve(a, k, cfg=None, start=None):
@@ -714,9 +767,12 @@ def test_global_solve_is_loose_only_when_transforms_are_resolved(monkeypatch, re
 
     monkeypatch.setattr(harness, "top_eigenpairs", recording("global"))
     monkeypatch.setattr(syncluster.recovery, "top_eigenpairs", recording("restricted"))
-    harness.run_pipeline(a, 2, 2, cfg, refine)
-    assert seen["global"] == [math.sqrt(cfg.tolerance) if loose else cfg.tolerance]
-    assert seen["restricted"] == ([cfg.tolerance] * 2 if loose else [])
+    for tolerance in (1e-6, 5e-2):
+        cfg = syncluster.SolverConfig(tolerance=tolerance, seed=1)
+        seen = {"global": [], "restricted": []}
+        harness.run_pipeline(a, 2, 2, cfg, refine)
+        assert seen["global"] == [max(tolerance, 1e-2) if loose else tolerance]
+        assert seen["restricted"] == ([tolerance] * 2 if loose else [])
 
 
 def test_import_and_solve_never_load_scipy():

@@ -370,6 +370,35 @@ def test_every_pair_matvec_reads_source_runs_in_place():
     assert peak < 2 * x.nbytes + (n - 1) * d * c * 8
 
 
+def test_matvec_plan_feeds_each_node_in_stable_j_order():
+    # The transposed direction feeds node j the stored pairs (i, j) in the
+    # stable argsort order of j, which the plan gets by sorting the keys
+    # j*n + i. Random pairs, given unsorted, with many repeated j.
+    n, d = 40, 2
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(21)))
+    i, j = np.triu_indices(n, k=1)
+    keep = rng.permutation(i.size)[:300]
+    a = SparseBlockMatrix(n, d, np.column_stack((i[keep], j[keep])),
+                          rng.standard_normal((keep.size, d, d)))
+    i, j = a.pairs.T
+    assert np.bincount(j).max() > 5
+
+    def expand(idx):
+        return np.arange(idx.start, idx.stop) if isinstance(idx, slice) else idx
+
+    fed = {}
+    for transposed, nodes, width, src, blk in a._matvec_tiles():
+        if not transposed:
+            continue
+        src, blk = expand(src).reshape(-1, width), expand(blk).reshape(-1, width)
+        for node, node_src, node_blk in zip(expand(nodes), src, blk):
+            fed[int(node)] = node_blk[node_src < n]
+    got = np.concatenate([fed[node] for node in sorted(fed)])
+    want = np.argsort(j, kind="stable")
+    assert np.array_equal(got, want)
+    assert np.array_equal(i[got], i[want])
+
+
 def test_matvec_single_vector_and_empty_matrix():
     a = SparseBlockMatrix(3, 2, np.empty((0, 2), dtype=np.int64), np.empty((0, 2, 2)))
     x = np.ones(6)

@@ -314,8 +314,8 @@ def test_refine_transforms_exact_on_clean_instance():
 
 
 def test_pipeline_with_loose_global_solve_still_refines_to_tolerance():
-    # run_pipeline solves the global basis only to sqrt(tolerance) when it
-    # re-solves transforms; the restricted solves restore full accuracy.
+    # run_pipeline solves the global basis only to 1e-2 when it re-solves
+    # transforms; the restricted solves restore full accuracy.
     gt, a, _, _ = _clean_recovery(24, 2, 3, seed=11)
     _, result, _, flags = run_pipeline(a, 2, 3, SolverConfig(), "both")
     assert exact_recovery(result.labels, gt.labels, 2)
