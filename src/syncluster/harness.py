@@ -7,16 +7,15 @@ generates a seeded instance and runs it through `run_pipeline`. A sweep
 runs `trials` trials per cell and writes one CSV row per trial plus one
 mean row per cell; the runtime bench is one sweep with a warm-up plus
 _BENCH_REPS trials per cell, reduced to per-phase medians and fitted
-log-log slopes. Trials run round-robin over the cells, and parallel
-workers are spawned with one BLAS thread each. Every trial derives a
-private integer sub-seed from (master seed, cell index, trial index), so
-results are bit-reproducible and independent of worker count and
-scheduling. A trial solves at the SolverConfig defaults, seeded with its
-sub-seed (under refine transforms or both, the global solve runs only to
-1e-2; see run_pipeline), and refine_clusters re-votes its REFINE_FRACTION
-(0.10) least-confident nodes. Per-trial failures are recorded as flagged
-rows and never abort the sweep; the bench raises on them, since a failed
-trial has no timings.
+log-log slopes. Trials run round-robin over the cells. Every trial
+derives a private integer sub-seed from (master seed, cell index, trial
+index), so results are bit-reproducible and independent of worker count
+and scheduling. A trial solves at the SolverConfig defaults, seeded with
+its sub-seed (under refine transforms or both, the global solve runs
+only to 1e-2; see run_pipeline), and refine_clusters re-votes its
+REFINE_FRACTION (0.10) least-confident nodes. Per-trial failures are
+recorded as flagged rows and never abort the sweep; the bench raises on
+them, since a failed trial has no timings.
 
 Science columns are deterministic given (config, seed); wall-clock timing
 columns are not, so the zero_timings switch exists to blank them when
@@ -26,12 +25,9 @@ byte-identical output matters (tests, golden files).
 import csv
 import json
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -330,10 +326,7 @@ def run_sweep(spec, out_path=None):
     """Run every (cell, trial) of the spec; optionally write CSV + manifest.
 
     Trials run round-robin over the cells: trial t of every cell, then
-    trial t + 1. With workers > 1 they run in spawned processes, each
-    started with one BLAS thread (see _worker_pool); the manifest records
-    those thread variables. Spawned workers import the caller's main
-    module, so a script that runs one must guard its entry point.
+    trial t + 1.
 
     Returns:
         (trial_values, summary_values): lists of per-row value dicts, in
@@ -349,7 +342,7 @@ def run_sweep(spec, out_path=None):
         for ci, cell in enumerate(cells)
     ]
     if spec.workers > 1:
-        with _worker_pool(spec.workers) as pool:
+        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             done = list(pool.map(_run_trial, tasks, chunksize=1))
     else:
         done = [_run_trial(t) for t in tasks]
@@ -361,38 +354,13 @@ def run_sweep(spec, out_path=None):
     ]
     if out_path is not None:
         rows = [_value_row(values, spec.zero_timings) for values in results + summaries]
-        workers_env = _worker_thread_variables() if spec.workers > 1 else None
-        _write_csv(out_path, spec, CSV_COLUMNS, rows,
-                   {"cells": len(cells), "worker_thread_variables": workers_env})
+        _write_csv(out_path, spec, CSV_COLUMNS, rows, {"cells": len(cells)})
     return results, summaries
-
-
-def _worker_thread_variables():
-    """The thread variables a sweep worker starts with: the caller's, else 1."""
-    return {name: os.environ.get(name, "1") for name in _THREAD_VARIABLES}
-
-
-@contextmanager
-def _worker_pool(workers):
-    """A process pool whose workers each run one BLAS thread unless told otherwise.
-
-    A forked worker would inherit the parent's loaded BLAS and its thread
-    pool, so workers are spawned, with each thread variable the caller left
-    unset set to 1 in the environment they start with. The parent's
-    environment is restored when the pool closes.
-    """
-    added = {k: v for k, v in _worker_thread_variables().items() if k not in os.environ}
-    os.environ.update(added)
-    try:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
-            yield pool
-    finally:
-        for name in added:
-            os.environ.pop(name, None)
 
 
 def _environment():
     """Interpreter, numpy and BLAS versions, thread settings and CPU counts."""
+    import os
     import platform
 
     try:

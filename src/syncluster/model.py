@@ -263,13 +263,13 @@ class SparseBlockMatrix:
         # stored as a slice, which the matvec reads as a view. Building tile
         # by tile with int32 indices keeps the plan and its temporaries
         # small: whole-array int64 builds left enough heap behind at n=6400
-        # to raise the next instance's peak memory by ~9%. The one int64
-        # array, the sort key, is freed before the tiles are built.
+        # to raise the next instance's peak memory by ~9%. The sort key is
+        # int32 too while n*n fits, and is freed before the tiles are built.
         if self._matvec_cache is None:
             n, m, d = self.n, self.pair_count, self.d
             index_type = np.int32 if max(n, m) < 2**31 else np.int64
             i_arr, j_arr = self.pairs.astype(index_type).T
-            key = j_arr.astype(np.int64)
+            key = j_arr.astype(np.int32 if n * n < 2**31 else np.int64)
             key *= n
             key += i_arr
             jorder = np.argsort(key).astype(index_type)

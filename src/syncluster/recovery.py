@@ -3,7 +3,9 @@
 From the R factor of the blockwise CPQR: node i's block column concentrates
 its mass in one block row in the noiseless case, so the row of largest
 Frobenius norm names the cluster and the polar factor of that block (then
-transposed) gives the orthogonal transform estimate. Refinement passes
+transposed) gives the orthogonal transform estimate. Clusters are numbered
+in order of their lowest node, whatever order CPQR pivoted the block rows
+in. Refinement passes
 re-assign low-confidence labels by mean squared block-column similarity, and
 re-estimate transforms from restricted eigenvectors, one solve per connected
 component of each cluster, which is exact on noiseless connected clusters.
@@ -22,7 +24,7 @@ from .linalg import polar_decompose
 from .model import SparseBlockMatrix
 
 # Block columns with total norm below this are treated as all-zero: the
-# node gets cluster 1, the identity transform, and confidence 0.
+# node joins block row 1, gets the identity transform, and confidence 0.
 _ZERO_COLUMN_CUTOFF = 1e-12
 
 # Share of least-confident nodes refine_clusters re-examines by default,
@@ -59,10 +61,13 @@ class RecoveryResult:
 def assign_and_extract(factors, big_k, d):
     """Read labels, transforms, and confidences off the R factor.
 
-    Per node i: the label is the block row of largest Frobenius norm (ties
-    to the smallest row), and the transform is the transposed polar factor
-    of that block. All-zero block columns are flagged and default to
-    cluster 1 with the identity transform.
+    Per node i: the cluster is the block row of largest Frobenius norm
+    (ties to the smallest row), and the transform is the transposed polar
+    factor of that block. All-zero block columns are flagged and join
+    block row 1 with the identity transform. Clusters are then numbered
+    1, 2, ... in order of their lowest node, so two factorizations that
+    find the same partition, with their block rows pivoted in any order,
+    give the same labels.
 
     Args:
         factors: BlockCpqrFactors from blockwise_cpqr.
@@ -97,9 +102,12 @@ def assign_and_extract(factors, big_k, d):
         k = labels[i] - 1
         block = r[k * d : (k + 1) * d, i * d : (i + 1) * d]
         transforms[i] = polar_decompose(block).T
+    rows, first = np.unique(labels, return_index=True)
+    number = np.zeros(big_k + 1, dtype=np.int64)
+    number[rows[np.argsort(first)]] = np.arange(1, rows.size + 1)
     flags = (FLAG_ZERO_COLUMN,) if zero_cols.any() else ()
     return RecoveryResult(
-        labels=labels.astype(np.int64),
+        labels=number[labels],
         transforms=transforms,
         confidence=confidence,
         cluster_count=big_k,

@@ -348,38 +348,6 @@ def test_sweep_runs_trials_round_robin_and_returns_them_by_cell(monkeypatch):
     assert [s["alpha"] for s in summaries] == list(alphas)
 
 
-def _start_thread_variables(_):
-    # /proc/self/environ holds the environment the process was started
-    # with: a forked worker shows its parent's, whatever it set later.
-    with open("/proc/self/environ", "rb") as fh:
-        start = dict(entry.split(b"=", 1) for entry in fh.read().split(b"\0") if b"=" in entry)
-    return {name: start.get(name.encode(), b"").decode() or None for name in harness._THREAD_VARIABLES}
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/environ"), reason="needs /proc/self/environ")
-def test_sweep_workers_start_with_one_blas_thread(tmp_path, monkeypatch):
-    # BLAS reads its thread variables when numpy loads, so workers must
-    # start with them: every variable the caller left unset is pinned to 1
-    # and the ones it set are kept. The parent's environment is left as it
-    # was, and the manifest records what the workers ran with.
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    want = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "1"}
-    with harness._worker_pool(2) as pool:
-        seen = list(pool.map(_start_thread_variables, range(4)))
-    assert seen == [want] * 4
-    assert "OPENBLAS_NUM_THREADS" not in os.environ and "MKL_NUM_THREADS" not in os.environ
-
-    out = tmp_path / "sweep.csv"
-    run_sweep(_small_spec(trials=2, workers=2), out)
-    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
-    assert manifest["worker_thread_variables"] == want
-    run_sweep(_small_spec(trials=1), out)
-    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
-    assert manifest["worker_thread_variables"] is None
-
-
 def test_transform_refinement_sweeps_recover_and_time_every_phase(tmp_path):
     out = tmp_path / "sweep.csv"
     for refine in ("transforms", "both"):

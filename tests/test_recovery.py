@@ -100,23 +100,34 @@ def test_shape_validation():
         assign_and_extract(factors, 3, 2)  # K mismatch
 
 
+def test_clusters_are_numbered_by_their_lowest_node():
+    # Node 0 lies in block row 3 and node 1 in block row 1; block row 2
+    # wins no node, so the labels use 1 and 2 of the three clusters.
+    r = np.zeros((3, 4))
+    r[2, 0] = r[2, 3] = 1.0
+    r[0, 1] = 1.0
+    r[0, 2] = 2.0
+    result = assign_and_extract(_factors_from_r(r, 1), 3, 1)
+    assert list(result.labels) == [1, 2, 2, 1]
+    assert result.cluster_count == 3
+
+
 @given(seeds)
 def test_property_partition_equivariance_under_row_swap(seed):
-    # Swapping the two block rows of R swaps the labels and leaves
-    # confidence untouched; transforms come from the same winning block.
+    # Permuting the block rows of R, as a CPQR that pivots the same
+    # partition in another order does, leaves labels, confidence and
+    # transforms as they were: clusters are numbered by their lowest node.
     d = 2
-    r = _gen(seed).standard_normal((2 * d, 6 * d))
-    base = assign_and_extract(_factors_from_r(r, d), 2, d)
-    swapped_r = np.vstack([r[d:], r[:d]])
-    swapped = assign_and_extract(_factors_from_r(swapped_r, d), 2, d)
-    ties = np.abs(
-        np.linalg.norm(r[:d].reshape(d, 6, d), axis=(0, 2))
-        - np.linalg.norm(r[d:].reshape(d, 6, d), axis=(0, 2))
-    ) < 1e-12
-    free = ~ties
-    assert np.array_equal(swapped.labels[free], 3 - base.labels[free])
-    assert np.allclose(swapped.confidence, base.confidence)
-    assert np.allclose(swapped.transforms[free], base.transforms[free])
+    r = _gen(seed).standard_normal((3 * d, 8 * d))
+    base = assign_and_extract(_factors_from_r(r, d), 3, d)
+    _, first = np.unique(base.labels, return_index=True)
+    assert np.all(np.diff(first) > 0)
+    for order in ([1, 0, 2], [2, 0, 1]):
+        permuted_r = np.vstack([r[k * d : (k + 1) * d] for k in order])
+        permuted = assign_and_extract(_factors_from_r(permuted_r, d), 3, d)
+        assert np.array_equal(permuted.labels, base.labels)
+        assert np.allclose(permuted.confidence, base.confidence)
+        assert np.allclose(permuted.transforms, base.transforms)
 
 
 def test_clean_pipeline_recovers_partition_and_transforms():
