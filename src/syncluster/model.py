@@ -50,16 +50,17 @@ _STREAM_SOLVER = 4  # the eigensolver's starting basis
 _MATVEC_TILE_ELEMS = 1 << 14
 
 # Block elements per slice of the pair range that generate_observation
-# fills at a time (1 MiB of blocks): its gathered transforms, normal draws
-# and Haar factors are then bounded by the slice, not by the stored blocks.
-_GENERATE_SLICE_ELEMS = 1 << 17
+# fills, and that SparseBlockMatrix checks, at a time (1 MiB of blocks): the
+# gathered transforms, normal draws and Haar factors, and the checks'
+# masks and keys, are then bounded by the slice, not by the stored blocks.
+_SLICE_ELEMS = 1 << 17
 
 # Largest noise-block payload (n(n-1)/2 * d^2 float64s) that sigma > 0 may
-# draw. The noise path peaks at about 1.4 times the bytes it stores (the
+# draw. The noise path peaks at about 1.25 times the bytes it stores (the
 # noise blocks and the pairs, which SparseBlockMatrix keeps without
-# copying, plus the index grid and the constructor's checks), so a size
-# over this fails with ValidationError before anything is allocated, not
-# with an out-of-memory kill partway through.
+# copying, plus the index grid), so a size over this fails with
+# ValidationError before anything is allocated, not with an out-of-memory
+# kill partway through.
 _DENSE_NOISE_BUDGET_BYTES = 1 << 30
 
 # Largest n whose pair keys i*n + j < n**2 fit int64: isqrt(2**63 - 1).
@@ -217,17 +218,20 @@ class SparseBlockMatrix:
         if data.size != pairs.shape[0] * self.d * self.d:
             raise ValidationError("data must hold one d x d block per pair")
         data = data.reshape(-1, self.d, self.d)
-        if not np.isfinite(data).all():
+        # The checks run over slices of the pairs, so their temporaries are
+        # bounded by a slice rather than sized like the stored arrays.
+        step = max(1, _SLICE_ELEMS // (self.d * self.d))
+        starts = range(0, pairs.shape[0], step)
+        if not all(np.isfinite(data[lo : lo + step]).all() for lo in starts):
             raise NonFiniteError("block data contains NaN or Inf entries")
-        if pairs.size:
-            if pairs.min() < 0 or pairs.max() >= self.n:
-                raise ValidationError("pair indices must lie in 0..n-1")
-            if (pairs[:, 0] >= pairs[:, 1]).any():
-                raise ValidationError("every stored pair must satisfy i < j")
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= self.n):
+            raise ValidationError("pair indices must lie in 0..n-1")
+        if any((pairs[lo : lo + step, 0] >= pairs[lo : lo + step, 1]).any() for lo in starts):
+            raise ValidationError("every stored pair must satisfy i < j")
         # Strictly increasing keys are sorted and distinct already; anything
         # else is sorted here, and only then can it hold duplicates.
-        key = pairs[:, 0] * self.n + pairs[:, 1]
-        if not (np.diff(key) > 0).all():
+        if not _keys_increase(pairs, self.n, step):
+            key = pairs[:, 0] * self.n + pairs[:, 1]
             order = np.argsort(key)
             if (np.diff(key[order]) == 0).any():
                 raise ValidationError("duplicate block pair")
@@ -336,6 +340,21 @@ class SparseBlockMatrix:
             y[nodes] += np.matmul(panel, rows)
         out = y.reshape(self.nd, c)
         return out[:, 0] if single else out
+
+
+def _keys_increase(pairs, n, step):
+    """Whether the keys i*n + j of pairs strictly increase, step pairs at a time.
+
+    Each slice's first key is checked against the last key before it.
+    """
+    last = -1
+    for lo in range(0, pairs.shape[0], step):
+        key = pairs[lo : lo + step, 0] * n
+        key += pairs[lo : lo + step, 1]
+        if key[0] <= last or not (key[1:] > key[:-1]).all():
+            return False
+        last = key[-1]
+    return True
 
 
 def _as_run(idx):
@@ -465,7 +484,7 @@ def generate_observation(gt, p, q, source):
     # draws as reading it at once.
     data = np.empty((pairs.shape[0], d, d))
     cross = source.stream(_STREAM_CROSS)
-    step = max(1, _GENERATE_SLICE_ELEMS // (d * d))
+    step = max(1, _SLICE_ELEMS // (d * d))
     for lo in range(0, pairs.shape[0], step):
         i_arr, j_arr = pairs[lo : lo + step].T
         out = data[lo : lo + step]

@@ -247,7 +247,7 @@ def _one_pass_observation(gt, p, q, source):
 def test_sliced_generation_matches_one_pass_reference(monkeypatch, d):
     # Four pairs per slice cuts the instance into dozens of slices, each
     # holding within-cluster and cross pairs in varying mixes.
-    monkeypatch.setattr(model, "_GENERATE_SLICE_ELEMS", 4 * d * d)
+    monkeypatch.setattr(model, "_SLICE_ELEMS", 4 * d * d)
     params = ModelParams(n=40, K=3, d=d, p=0.5, q=0.3, seed=11)
     gt = generate_ground_truth(params)
     a = generate_observation(gt, params.p, params.q, RandomSource(params.seed))
@@ -260,9 +260,9 @@ def test_sliced_generation_matches_one_pass_reference(monkeypatch, d):
 
 
 def test_generation_peak_is_bounded_by_the_stored_bytes():
-    # The sparse-large benchmark cell. With the blocks filled slice by slice
-    # the peak is the pairs, the blocks and the constructor's checks, 1.37x
-    # the stored bytes; whole-range gathers and Haar draws took it to 2.9x.
+    # The sparse-large benchmark cell. With the blocks filled and checked
+    # slice by slice the peak is 1.31x the stored bytes; whole-range
+    # gathers and Haar draws took it to 2.9x, and whole-range checks 1.43x.
     n = 6400
     p = 10 * math.log(n) / n
     params = ModelParams(n=n, K=2, d=2, p=p, q=p, seed=1)
@@ -453,6 +453,49 @@ def test_sparse_matrix_validates_pairs():
     a = SparseBlockMatrix(5, 1, pairs, np.arange(5.0))
     assert np.array_equal(a.pairs, [[0, 1], [0, 4], [1, 2], [1, 4], [2, 3]])
     assert np.array_equal(a.data.ravel(), [3.0, 1.0, 0.0, 4.0, 2.0])
+
+
+def test_sparse_matrix_checks_across_slice_boundaries(monkeypatch):
+    # Two pairs per slice: each fault below sits in a later slice than the
+    # first, and the key faults straddle a boundary, where only the check
+    # against the previous slice's last key can see them.
+    monkeypatch.setattr(model, "_SLICE_ELEMS", 2)
+    ones = np.ones((4, 1, 1))
+    with pytest.raises(ValidationError, match="duplicate"):
+        SparseBlockMatrix(4, 1, np.array([[0, 1], [0, 2], [0, 2], [1, 3]]), ones)
+    a = SparseBlockMatrix(4, 1, np.array([[0, 1], [1, 2], [0, 2], [1, 3]]), np.arange(4.0))
+    assert np.array_equal(a.pairs, [[0, 1], [0, 2], [1, 2], [1, 3]])
+    assert np.array_equal(a.data.ravel(), [0.0, 2.0, 1.0, 3.0])
+    with pytest.raises(ValidationError, match="^every stored pair must satisfy i < j$"):
+        SparseBlockMatrix(4, 1, np.array([[0, 1], [0, 2], [1, 3], [3, 2]]), ones)
+    with pytest.raises(ValidationError, match="^pair indices must lie in 0..n-1$"):
+        SparseBlockMatrix(4, 1, np.array([[0, 1], [0, 2], [3, 2], [1, 4]]), ones)
+    bad = ones.copy()
+    bad[3] = np.nan
+    with pytest.raises(NonFiniteError, match="^block data contains NaN or Inf entries$"):
+        SparseBlockMatrix(4, 1, np.array([[0, 1], [0, 2], [3, 2], [1, 4]]), bad)
+    # Sorted input over many slices is kept as is.
+    pairs = np.column_stack(np.triu_indices(6, k=1))
+    a = SparseBlockMatrix(6, 1, pairs, np.arange(15.0), copy=False)
+    assert np.shares_memory(a.pairs, pairs)
+
+
+def test_sparse_matrix_checks_peak_far_below_the_stored_bytes():
+    # The sparse-large benchmark cell, sorted and kept without a copy. The
+    # checks' masks and keys are cut per slice of the pairs; over the whole
+    # pair range they took the constructor 0.35x the stored bytes above
+    # its start.
+    n = 6400
+    p = 10 * math.log(n) / n
+    _, a = generate_instance(ModelParams(n=n, K=2, d=2, p=p, q=p, seed=1))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        SparseBlockMatrix(n, 2, a.pairs, a.data, copy=False)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * (a.data.nbytes + a.pairs.nbytes)
 
 
 def test_sparse_matrix_bounds_n_so_pair_keys_fit_int64():

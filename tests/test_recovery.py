@@ -15,7 +15,7 @@ from syncluster.cpqr import BlockCpqrFactors, blockwise_cpqr
 from syncluster.eigensolver import SolverConfig, top_eigenpairs
 from syncluster.errors import ValidationError
 from syncluster.harness import run_pipeline
-from syncluster.linalg import haar_from_normals, polar_decompose
+from syncluster.linalg import ORTHOGONALITY_ATOL, haar_from_normals, polar_decompose
 from syncluster.metrics import exact_recovery
 from syncluster.model import ModelParams, SparseBlockMatrix, generate_instance
 from syncluster.recovery import (
@@ -332,6 +332,64 @@ def test_pipeline_with_loose_global_solve_still_refines_to_tolerance():
     assert exact_recovery(result.labels, gt.labels, 2)
     assert oracles.sync_error_oracle(result.transforms, gt) <= np.log(1e-8)
     assert flags == []
+
+
+@pytest.mark.parametrize("refine", ["transforms", "both"])
+@pytest.mark.parametrize("n, big_k, d, seed", [(400, 2, 2, 1), (400, 2, 2, 2), (450, 3, 3, 3)])
+def test_pipeline_matches_the_old_composition_without_per_node_polars(refine, n, big_k, d, seed):
+    # Under refine transforms and both, run_pipeline reads only labels and
+    # raw blocks off R, and refine_transforms polars them in one stacked
+    # call. Against assign_and_extract -> refine_clusters -> refine_transforms
+    # on the same factors, labels and flags are equal, and transforms agree
+    # up to one orthogonal factor per cluster.
+    p = 10 * math.log(n) / n
+    _, a = generate_instance(ModelParams(n=n, K=big_k, d=d, p=p, q=p, seed=seed))
+    cfg = SolverConfig(seed=seed)
+    shapes = []
+
+    def counted(x):
+        shapes.append(np.shape(x))
+        return polar_decompose(x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recovery, "polar_decompose", counted)
+        factors, new, _, _ = run_pipeline(a, big_k, d, cfg, refine)
+    old = assign_and_extract(factors, big_k, d)
+    if refine == "both":
+        old = refine_clusters(factors, old)
+    old = refine_transforms(a, old, cfg)
+
+    assert np.array_equal(new.labels, old.labels)
+    assert new.flags == old.flags == ()
+    # One call over all n estimates, then one per restricted solve.
+    assert shapes == [(n, d, d)] + [(np.count_nonzero(old.labels == k), d, d)
+                                    for k in range(1, big_k + 1)]
+    for k in range(1, big_k + 1):
+        nodes = old.cluster_nodes(k)
+        assert oracles.gauge_align_error(old.transforms[nodes], new.transforms[nodes]) <= 1e-12
+
+
+def test_refine_transforms_takes_non_orthogonal_estimates():
+    # Estimates scaled and sheared away from the truth, as the raw blocks of
+    # R are: every output is orthogonal, each clique is solved from its
+    # estimates' polar factors, and node 9, with no within-cluster pair,
+    # gets the polar factor of its own block.
+    d = 2
+    cliques = (np.array([1, 4, 7, 10]), np.array([2, 5, 8, 11]), np.array([0, 3, 6]))
+    transforms, a = _clique_matrix(12, d, cliques, seed=24)
+    labels = np.ones(12, dtype=np.int64)
+    labels[cliques[2]] = 2
+    rng = _gen(25)
+    shear = np.eye(d) + np.triu(rng.uniform(0.2, 0.8, (12, d, d)), k=1)
+    scale = rng.uniform(0.5, 3.0, (12, d, 1))
+    given = replace(_identity_result(labels, d, 2), transforms=transforms @ (scale * shear))
+    assert not np.allclose(polar_decompose(given.transforms), given.transforms)
+    refined = refine_transforms(a, given)
+    gram = refined.transforms.transpose(0, 2, 1) @ refined.transforms - np.eye(d)
+    assert np.linalg.norm(gram, axis=(1, 2)).max() <= ORTHOGONALITY_ATOL
+    assert np.array_equal(refined.transforms[9], polar_decompose(given.transforms[9]))
+    polar_given = replace(given, transforms=polar_decompose(given.transforms))
+    _assert_solved_per_component(a, polar_given, refined, transforms, cliques + (np.array([9]),))
 
 
 def _clique_matrix(n, d, cliques, seed, cross=()):
