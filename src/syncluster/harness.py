@@ -38,7 +38,7 @@ from .errors import ParseError, SynclusterError, ValidationError, as_index, as_r
 from .metrics import alpha_for_eta, beta_for_eta, eta, exact_recovery, snr_ratio, sync_error
 from .model import ModelParams, RandomSource, generate_instance
 from .recovery import (
-    REFINE_FRACTION, _read_labels, assign_and_extract, refine_clusters, refine_transforms,
+    REFINE_FRACTION, _assign_stacked, assign_and_extract, refine_clusters, refine_transforms,
 )
 
 MODES = ("grid", "eta-sweep", "runtime", "snr", "noise-grid")
@@ -200,16 +200,16 @@ def resolve_cells(spec):
 def run_pipeline(a, big_k, d, cfg, refine="none", fraction=REFINE_FRACTION):
     """Eigensolve, factor, assign, optionally refine; time each phase.
 
-    cfg=None means SolverConfig(). Under refine none or clusters the
-    global eigensolve runs to cfg.tolerance and assign_and_extract reads
-    labels and polar transforms off R. Under refine transforms or both,
-    refine_transforms replaces the transforms, so the global basis only
-    feeds the labels: it runs to _LABEL_TOLERANCE (1e-2), or to
-    cfg.tolerance if that is looser, and the assignment reads only the
-    labels and the raw blocks of R, with no per-node polar factor.
-    refine_transforms then takes the polar factors of all those blocks in
-    one stacked call (timed in t_refine_ms) and runs its restricted solves
-    to cfg.tolerance. Labels and flags are the same either way.
+    cfg=None means SolverConfig(). The assignment reads labels and polar
+    transforms off R: under refine none through assign_and_extract, one
+    polar factor per node, and under every other refine mode through
+    _assign_stacked, all n polar factors in one stacked call. Both are
+    timed in t_recover_ms and agree up to rounding. Under refine
+    transforms or both, refine_transforms replaces the transforms, so the
+    global basis only feeds the labels: it runs to _LABEL_TOLERANCE
+    (1e-2), or to cfg.tolerance if that is looser, and the restricted
+    solves keep cfg.tolerance. Otherwise the global solve runs to
+    cfg.tolerance.
 
     Returns:
         (factors, result, timings, flags): timings is a dict of phase
@@ -247,7 +247,7 @@ def run_pipeline(a, big_k, d, cfg, refine="none", fraction=REFINE_FRACTION):
         flags.append(FLAG_RANK_DEFICIENT)
 
     t0 = time.perf_counter()
-    result = (_read_labels if solves_transforms else assign_and_extract)(factors, big_k, d)
+    result = (assign_and_extract if refine == "none" else _assign_stacked)(factors, big_k, d)
     t_recover = (time.perf_counter() - t0) * 1e3
 
     t_refine = 0.0

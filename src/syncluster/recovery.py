@@ -5,17 +5,17 @@ its mass in one block row in the noiseless case, so the row of largest
 Frobenius norm names the cluster and the polar factor of that block (then
 transposed) gives the orthogonal transform estimate. Clusters are numbered
 in order of their lowest node, whatever order CPQR pivoted the block rows
-in. Refinement passes
-re-assign low-confidence labels by mean squared block-column similarity, and
-re-estimate transforms from restricted eigenvectors, one solve per connected
-component of each cluster, which is exact on noiseless connected clusters.
-That pass takes any per-node estimates: one stacked polar decomposition
-makes them orthogonal, and each solve is warm-started from its component's
-polar factors, which already span nearly the wanted eigenspace; a single
-node with no within-cluster pair has nothing to solve and keeps its polar
-factor. So when refine_transforms follows, the per-node polar loop of
-assign_and_extract is wasted work, and run_pipeline reads only the labels
-and the raw blocks of R (_read_labels).
+in. assign_and_extract takes the polar factors one node at a time, and
+_assign_stacked, which run_pipeline uses under every refine mode but none,
+takes them all in one stacked call. Refinement passes re-assign
+low-confidence labels by mean squared block-column similarity, re-reading
+a moved node's transform off its new cluster's block row, and re-estimate
+transforms from restricted eigenvectors, one solve per connected component
+of each cluster, which is exact on noiseless connected clusters. Each of
+those solves is warm-started from the component's input transforms, which
+already span nearly the wanted eigenspace; a single node with no
+within-cluster pair has nothing to solve and keeps its input transform.
+Every pass hands on orthogonal transforms.
 """
 
 from dataclasses import dataclass, replace
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .eigensolver import top_eigenpairs
-from .errors import ValidationError, as_floats, as_index, as_indices, as_real
+from .errors import NonFiniteError, ValidationError, as_floats, as_index, as_indices, as_real
 from .linalg import polar_decompose
 from .model import SparseBlockMatrix
 
@@ -84,13 +84,24 @@ def assign_and_extract(factors, big_k, d):
     result = _read_labels(factors, big_k, d)
     transforms = result.transforms
     # One polar_decompose per node rather than one over the stack: batched,
-    # the pass gets so fast at small n that CPQR's fixed per-call cost
-    # dominates, and the runtime bench's excl_eigen slope (acceptance
-    # criterion 8) falls below its bound. Zero columns (confidence 0) keep
-    # the identity.
+    # the pass gets so fast at small n that fixed per-call costs (CPQR's and
+    # its own) dominate, and the runtime bench's excl_eigen slope (acceptance
+    # criterion 8, which runs refine none) falls below its bound. Every other
+    # refine mode takes _assign_stacked. Zero columns (confidence 0) keep the
+    # identity.
     for i in np.flatnonzero(result.confidence != 0):
         transforms[i] = polar_decompose(transforms[i].T).T
     return result
+
+
+def _assign_stacked(factors, big_k, d):
+    """assign_and_extract's result, its polar factors from one stacked call.
+
+    Equal to assign_and_extract up to rounding. run_pipeline uses it under
+    every refine mode but none, whose per-node loop criterion 8 times.
+    """
+    result = _read_labels(factors, big_k, d)
+    return replace(result, transforms=polar_decompose(result.transforms))
 
 
 def _read_labels(factors, big_k, d):
@@ -98,8 +109,9 @@ def _read_labels(factors, big_k, d):
 
     Labels, confidence, flags and numbering are assign_and_extract's; each
     node's transform is its label's block of R, transposed but not yet
-    orthogonal (the identity on all-zero columns). For callers that polar
-    the transforms themselves, as refine_transforms does.
+    orthogonal (the identity on all-zero columns). Private to this module:
+    assign_and_extract and _assign_stacked take the polar factors, and no
+    result holding the raw blocks leaves it.
     """
     r = factors.r
     big_k, d = as_index(big_k, "big_k"), as_index(d, "d")
@@ -118,9 +130,7 @@ def _read_labels(factors, big_k, d):
     labels[zero_cols] = 1
     confidence[zero_cols] = 0.0
 
-    # blocks[i] is R's block (labels[i], i), stored transposed.
-    blocks = r.reshape(big_k, d, n, d)[labels - 1, :, np.arange(n), :]
-    transforms = np.ascontiguousarray(blocks.transpose(0, 2, 1))
+    transforms = _transposed_blocks(r, d, labels - 1, np.arange(n))
     transforms[zero_cols] = np.eye(d)
     rows, first = np.unique(labels, return_index=True)
     number = np.zeros(big_k + 1, dtype=np.int64)
@@ -135,6 +145,12 @@ def _read_labels(factors, big_k, d):
     )
 
 
+def _transposed_blocks(r, d, rows, nodes):
+    """R's blocks (rows[t], nodes[t]), each transposed, as one C-contiguous stack."""
+    blocks = r.reshape(-1, d, r.shape[1] // d, d)[rows, :, nodes, :]
+    return np.ascontiguousarray(blocks.transpose(0, 2, 1))
+
+
 def refine_clusters(factors, result, fraction=REFINE_FRACTION):
     """Re-assign the least-confident fraction of nodes by block similarity.
 
@@ -143,8 +159,12 @@ def refine_clusters(factors, result, fraction=REFINE_FRACTION):
     Each such node moves to the cluster of largest mean squared similarity
     over the frozen input clusters,
     (1 / |C_k|) * sum_{j in C_k} ||R_.i^T R_.j||_F^2, ties to the smallest
-    k; empty clusters are never chosen. Labels outside the set and all
-    transforms are unchanged.
+    k; empty clusters are never chosen. A node that moves takes the
+    transposed polar factor of its block in its new cluster's row of R, the
+    row on which the input members' block norms sum highest (the rule
+    snr_ratio uses for the signal row); nodes of confidence 0, whose block
+    columns are all zero, keep their transforms. Labels outside the set and
+    the transforms of nodes that stay are unchanged.
 
     With G_j = vec(R_.j R_.j^T), ||R_.i^T R_.j||_F^2 = <G_i, G_j>, so the
     score is <G_i, S_k> / |C_k| against the cluster sums S_k = sum_{j in
@@ -154,15 +174,16 @@ def refine_clusters(factors, result, fraction=REFINE_FRACTION):
 
     Args:
         factors: the same BlockCpqrFactors the result came from.
-        result: RecoveryResult from assign_and_extract.
+        result: RecoveryResult from assign_and_extract or _assign_stacked.
         fraction: share of nodes to re-examine, in [0, 1].
 
     Returns:
         New RecoveryResult.
 
     Raises:
-        ValidationError: fraction lies outside [0, 1], or labels or
-            confidence do not hold one entry per block column.
+        ValidationError: fraction lies outside [0, 1], labels or
+            confidence do not hold one entry per block column, or
+            transforms is not one d x d block per node.
     """
     if not 0.0 <= as_real(fraction, "fraction") <= 1.0:
         raise ValidationError("fraction must lie in [0, 1]")
@@ -176,6 +197,9 @@ def refine_clusters(factors, result, fraction=REFINE_FRACTION):
     confidence = as_floats(result.confidence, "confidence")
     if confidence.shape != (n,):
         raise ValidationError(f"confidence must hold one value per block column, shape ({n},)")
+    transforms = as_floats(result.transforms, "transforms")
+    if transforms.shape != (n, d, d):
+        raise ValidationError(f"transforms must be one block per node, shape ({n}, {d}, {d})")
     count = int(round(fraction * n))
     if count == 0:
         return result
@@ -192,9 +216,15 @@ def refine_clusters(factors, result, fraction=REFINE_FRACTION):
     gram = (blocks @ blocks.transpose(0, 2, 1)).reshape(n, -1)
     sums = onehot.T @ gram
     scores = np.where(sizes > 0, (gram[examined] @ sums.T) / np.maximum(sizes, 1), -np.inf)
+    voted = np.argmax(scores, axis=1) + 1
+    moved = examined[(voted != labels[examined]) & (confidence[examined] != 0)]
     labels = labels.copy()
-    labels[examined] = np.argmax(scores, axis=1) + 1
-    return replace(result, labels=labels, flags=flags)
+    labels[examined] = voted
+    if moved.size:
+        rows = np.argmax(factors.block_row_norms() @ onehot, axis=0)[labels[moved] - 1]
+        transforms = transforms.copy()
+        transforms[moved] = polar_decompose(_transposed_blocks(r, d, rows, moved))
+    return replace(result, labels=labels, transforms=transforms, flags=flags)
 
 
 def connectivity_check(a, nodes):
@@ -266,16 +296,14 @@ def refine_transforms(a, result, cfg=None):
     Empty clusters, then clusters split into several components, are
     flagged; each component keeps its own arbitrary global factor.
 
-    The input transforms are per-node estimates of O_i, orthogonal or not
-    (run_pipeline passes the raw blocks of R). One stacked polar
-    decomposition maps them to orthogonal ones, and orthogonal input comes
-    back unchanged up to rounding. Each solve starts from the stack of its
-    nodes' polar factors. Node i's rows of the top-d eigenvectors are
-    O_i G / sqrt(size) for one component-wide G, and the estimates give
-    O_i up to one factor per cluster, so the stack spans nearly the wanted
-    space and the solve needs fewer iterations than from a random block. A
-    component of one node has no pair, so its node keeps the polar factor
-    of its input transform, unsolved.
+    The input transforms are orthogonal estimates of O_i, as every
+    assignment pass gives them. Each solve starts from the stack of its
+    nodes' input transforms. Node i's rows of the top-d eigenvectors are
+    O_i G / sqrt(size) for one component-wide G, and the input transforms
+    estimate O_i up to one factor per cluster, so the stack spans nearly
+    the wanted space and the solve needs fewer iterations than from a
+    random block. A component of one node has no pair, so its node keeps
+    its input transform unsolved.
 
     Args:
         a: the observation matrix the factors came from.
@@ -283,9 +311,8 @@ def refine_transforms(a, result, cfg=None):
         cfg: SolverConfig for the restricted eigensolves.
 
     Returns:
-        New RecoveryResult with updated transforms (the polar factors of
-        the input on nodes with no within-cluster pair). Labels and
-        confidence carry over.
+        New RecoveryResult with updated transforms (unchanged on nodes
+        with no within-cluster pair). Labels and confidence carry over.
 
     Raises:
         ValidationError: the labels do not give each node of a a cluster,
@@ -300,6 +327,8 @@ def refine_transforms(a, result, cfg=None):
     given = as_floats(result.transforms, "transforms")
     if given.shape != (a.n, d, d):
         raise ValidationError(f"transforms must be one block per node, shape ({a.n}, {d}, {d})")
+    if not np.isfinite(given).all():
+        raise NonFiniteError("transforms contain NaN or Inf entries")
     nonempty = np.count_nonzero(np.bincount(labels))
     within = np.flatnonzero(np.equal(*labels[a.pairs].T))
     within = within.astype(np.int32 if a.pair_count < 2**31 else np.int64)
@@ -310,7 +339,7 @@ def refine_transforms(a, result, cfg=None):
         flags = flags + (FLAG_EMPTY_CLUSTER,)
     if count > nonempty and FLAG_DISCONNECTED_CLUSTER not in flags:
         flags = flags + (FLAG_DISCONNECTED_CLUSTER,)
-    transforms = polar_decompose(given)
+    transforms = given.copy()
     # Stable splits keep each component's pairs, and their local ranks, in key
     # order. Only the split pairs stay bound through the loop. Each
     # component's matrix, with its matvec plan, and its vectors are dropped
@@ -323,7 +352,7 @@ def refine_transforms(a, result, cfg=None):
             continue
         local[nodes] = np.arange(nodes.size)
         sub = SparseBlockMatrix(nodes.size, d, local[a.pairs[picked]], a.data[picked], copy=False)
-        vectors = top_eigenpairs(sub, d, cfg, start=transforms[nodes].reshape(-1, d)).vectors
+        vectors = top_eigenpairs(sub, d, cfg, start=given[nodes].reshape(-1, d)).vectors
         transforms[nodes] = polar_decompose(vectors.reshape(-1, d, d))
         del sub, vectors
     return replace(result, transforms=transforms, flags=flags)

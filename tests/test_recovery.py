@@ -10,10 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from syncluster import recovery
+from syncluster import harness, recovery
 from syncluster.cpqr import BlockCpqrFactors, blockwise_cpqr
 from syncluster.eigensolver import SolverConfig, top_eigenpairs
-from syncluster.errors import ValidationError
+from syncluster.errors import NonFiniteError, ValidationError
 from syncluster.harness import run_pipeline
 from syncluster.linalg import ORTHOGONALITY_ATOL, haar_from_normals, polar_decompose
 from syncluster.metrics import exact_recovery
@@ -173,7 +173,29 @@ def test_refine_clusters_repairs_planted_mistakes():
     )
     refined = refine_clusters(factors, corrupted, fraction=0.10)
     assert np.array_equal(refined.labels, result.labels)
-    assert refined.transforms is result.transforms
+    assert np.array_equal(refined.transforms, result.transforms)
+
+
+def test_refine_clusters_rereads_the_transforms_of_moved_nodes():
+    # Three labels put in the wrong cluster, with low but non-zero confidence
+    # and a wrong transform: each moved node takes the polar factor of its
+    # block in its new cluster's row of R, and no other transform changes.
+    _, _, factors, result = _clean_recovery(30, 2, 2, seed=9)
+    labels = result.labels.copy()
+    confidence = result.confidence.copy()
+    transforms = result.transforms.copy()
+    wrong = [0, 7, 19]
+    for i in wrong:
+        labels[i] = 1 + (labels[i] % result.cluster_count)
+        confidence[i] = 0.5
+        transforms[i] = np.diag([1.0, -1.0])
+    corrupted = replace(result, labels=labels, confidence=confidence, transforms=transforms)
+    refined = refine_clusters(factors, corrupted, fraction=0.10)
+    assert np.array_equal(refined.labels, result.labels)
+    np.testing.assert_allclose(refined.transforms[wrong], result.transforms[wrong], atol=1e-12)
+    kept = np.setdiff1d(np.arange(30), wrong)
+    assert np.array_equal(refined.transforms[kept], transforms[kept])
+    assert np.array_equal(corrupted.transforms, transforms)
 
 
 def test_refine_clusters_touches_only_the_examined_set():
@@ -334,62 +356,61 @@ def test_pipeline_with_loose_global_solve_still_refines_to_tolerance():
     assert flags == []
 
 
-@pytest.mark.parametrize("refine", ["transforms", "both"])
+@pytest.mark.parametrize("refine", ["none", "clusters", "transforms", "both"])
 @pytest.mark.parametrize("n, big_k, d, seed", [(400, 2, 2, 1), (400, 2, 2, 2), (450, 3, 3, 3)])
 def test_pipeline_matches_the_old_composition_without_per_node_polars(refine, n, big_k, d, seed):
-    # Under refine transforms and both, run_pipeline reads only labels and
-    # raw blocks off R, and refine_transforms polars them in one stacked
-    # call. Against assign_and_extract -> refine_clusters -> refine_transforms
-    # on the same factors, labels and flags are equal, and transforms agree
-    # up to one orthogonal factor per cluster.
+    # Only refine none takes one polar factor per node (assign_and_extract);
+    # every other mode takes all n in one stacked call, then one per
+    # restricted solve. Against assign_and_extract and the refine passes on
+    # the same factors, labels and flags are equal and transforms agree to
+    # rounding, up to one orthogonal factor per cluster where
+    # refine_transforms re-solves them. Every pass hands on orthogonal
+    # transforms.
     p = 10 * math.log(n) / n
     _, a = generate_instance(ModelParams(n=n, K=big_k, d=d, p=p, q=p, seed=seed))
     cfg = SolverConfig(seed=seed)
     shapes = []
+    passes = []
 
     def counted(x):
         shapes.append(np.shape(x))
         return polar_decompose(x)
 
+    def kept(step):
+        def run(*args):
+            passes.append(step(*args))
+            return passes[-1]
+        return run
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(recovery, "polar_decompose", counted)
+        for name in ("assign_and_extract", "_assign_stacked", "refine_clusters", "refine_transforms"):
+            patch.setattr(harness, name, kept(getattr(harness, name)))
         factors, new, _, _ = run_pipeline(a, big_k, d, cfg, refine)
     old = assign_and_extract(factors, big_k, d)
-    if refine == "both":
+    if refine in ("clusters", "both"):
         old = refine_clusters(factors, old)
-    old = refine_transforms(a, old, cfg)
+    if refine in ("transforms", "both"):
+        old = refine_transforms(a, old, cfg)
 
     assert np.array_equal(new.labels, old.labels)
     assert new.flags == old.flags == ()
-    # One call over all n estimates, then one per restricted solve.
+    assert len(passes) == 1 + (refine != "none") * (1 + (refine == "both"))
+    for result in passes:
+        gram = result.transforms.transpose(0, 2, 1) @ result.transforms - np.eye(d)
+        assert np.linalg.norm(gram, axis=(1, 2)).max() <= ORTHOGONALITY_ATOL
+    if refine == "none":
+        assert shapes == [(d, d)] * n
+        assert np.array_equal(new.transforms, old.transforms)
+        return
+    # The re-vote moves no node on these instances, so it takes no polar.
     assert shapes == [(n, d, d)] + [(np.count_nonzero(old.labels == k), d, d)
-                                    for k in range(1, big_k + 1)]
+                                    for k in range(1, big_k + 1)] * (refine != "clusters")
+    if refine == "clusters":
+        np.testing.assert_allclose(new.transforms, old.transforms, rtol=0, atol=1e-13)
     for k in range(1, big_k + 1):
         nodes = old.cluster_nodes(k)
         assert oracles.gauge_align_error(old.transforms[nodes], new.transforms[nodes]) <= 1e-12
-
-
-def test_refine_transforms_takes_non_orthogonal_estimates():
-    # Estimates scaled and sheared away from the truth, as the raw blocks of
-    # R are: every output is orthogonal, each clique is solved from its
-    # estimates' polar factors, and node 9, with no within-cluster pair,
-    # gets the polar factor of its own block.
-    d = 2
-    cliques = (np.array([1, 4, 7, 10]), np.array([2, 5, 8, 11]), np.array([0, 3, 6]))
-    transforms, a = _clique_matrix(12, d, cliques, seed=24)
-    labels = np.ones(12, dtype=np.int64)
-    labels[cliques[2]] = 2
-    rng = _gen(25)
-    shear = np.eye(d) + np.triu(rng.uniform(0.2, 0.8, (12, d, d)), k=1)
-    scale = rng.uniform(0.5, 3.0, (12, d, 1))
-    given = replace(_identity_result(labels, d, 2), transforms=transforms @ (scale * shear))
-    assert not np.allclose(polar_decompose(given.transforms), given.transforms)
-    refined = refine_transforms(a, given)
-    gram = refined.transforms.transpose(0, 2, 1) @ refined.transforms - np.eye(d)
-    assert np.linalg.norm(gram, axis=(1, 2)).max() <= ORTHOGONALITY_ATOL
-    assert np.array_equal(refined.transforms[9], polar_decompose(given.transforms[9]))
-    polar_given = replace(given, transforms=polar_decompose(given.transforms))
-    _assert_solved_per_component(a, polar_given, refined, transforms, cliques + (np.array([9]),))
 
 
 def _clique_matrix(n, d, cliques, seed, cross=()):
@@ -580,6 +601,23 @@ def test_refine_transforms_rejects_transforms_not_one_block_per_node(shape):
     a, _, wrong = _misfit("transforms", np.zeros(shape))
     with pytest.raises(ValidationError, match=r"^transforms must be one block per node"):
         refine_transforms(a, wrong)
+
+
+@pytest.mark.parametrize("shape", [(39, 2, 2), (40, 2, 3)], ids=["39-nodes", "2x3-blocks"])
+def test_refine_clusters_rejects_transforms_not_one_block_per_node(shape):
+    # The re-vote writes the transforms of the nodes it moves.
+    _, factors, wrong = _misfit("transforms", np.zeros(shape))
+    with pytest.raises(ValidationError, match=r"^transforms must be one block per node"):
+        refine_clusters(factors, wrong, 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_refine_transforms_rejects_non_finite_transforms(bad):
+    _, a, _, result = _clean_recovery(40, 2, 2, seed=1, p=0.5, q=0.05)
+    transforms = result.transforms.copy()
+    transforms[5, 1, 0] = bad
+    with pytest.raises(NonFiniteError, match="^transforms contain NaN or Inf"):
+        refine_transforms(a, replace(result, transforms=transforms))
 
 
 def test_refinements_read_labels_through_the_index_check():
