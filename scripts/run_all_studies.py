@@ -21,6 +21,7 @@ CONFIG_DIR = Path(__file__).resolve().parent / "configs"
 STUDIES = (
     "phase_grid",
     "eta_threshold",
+    "eta_threshold_n",
     "refine_boundary",
     "noise_grid",
     "snr_vs_d",

@@ -66,9 +66,9 @@ def build_parser():
     generate.set_defaults(handler=_cmd_generate)
 
     solve = commands.add_parser("solve", help="run the pipeline on a stored instance")
-    solve.add_argument("matrix", metavar="MATRIX", help="matrix container path")
+    solve.add_argument("matrix", metavar="MATRIX", help="matrix archive path")
     solve.add_argument("--truth", metavar="PATH", default=None,
-                       help="ground-truth container for scoring")
+                       help="ground-truth archive for scoring")
     solve.add_argument("--refine", choices=REFINE_CHOICES, default="none")
     solve.add_argument("--out", metavar="PATH", default=None,
                        help="write estimated labels and transforms here")

@@ -4,13 +4,13 @@ Ground truth assigns each node a cluster label and a Haar-random orthogonal
 transform. The observation matrix holds, for a random subset of node pairs,
 either the true relative transform (within clusters, probability p) or a
 Haar-uniform impostor block (across clusters, probability q). An additive
-variant perturbs every pair with Gaussian noise. A small binary container
-format round-trips both structures to disk. The matrix multiplies through
-batched GEMMs over tiles of destination nodes, O(d^2) work per stored block
-and column. Tiles hold nodes of similar degree, so they carry almost no
-padding, and a node's blocks or operand rows that lie in one contiguous run
-(as every node's source rows do when every pair is stored) are read in
-place rather than copied.
+variant perturbs every pair with Gaussian noise. Both structures round-trip
+to disk as numpy .npz archives. The matrix multiplies through batched GEMMs
+over tiles of destination nodes, O(d^2) work per stored block and column.
+Tiles hold nodes of similar degree, so they carry almost no padding, and a
+node's blocks or operand rows that lie in one contiguous run (as every
+node's source rows do when every pair is stored) are read in place rather
+than copied.
 
 All randomness is rooted in a single integer seed through named Philox
 streams, each owned by one consumer and read in a fixed order, so a run is
@@ -23,7 +23,7 @@ of the pair range, so no whole-length gather or draw sits beside them;
 sigma > 0 stores every pair and is bounded by a memory budget instead.
 """
 
-import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,11 +65,6 @@ _DENSE_NOISE_BUDGET_BYTES = 1 << 30
 
 # Largest n whose pair keys i*n + j < n**2 fit int64: isqrt(2**63 - 1).
 _MAX_NODES = 3_037_000_499
-
-_MAGIC = b"JSYN"
-_FORMAT_VERSION = 1
-_KIND_MATRIX = 0
-_KIND_GROUND_TRUTH = 1
 
 
 class RandomSource:
@@ -551,131 +546,113 @@ def add_gaussian_noise(a, sigma, source):
     return SparseBlockMatrix(n, d, pairs, data, copy=False)
 
 
-def _header_k(K):
-    """K as an int the header's u32 holds, for the writers to check first."""
+def _cluster_count(K):
+    """K as an int, checked to be at least 1 (a ValidationError otherwise)."""
     K = as_index(K, "K")
-    if not 1 <= K <= 2**32 - 1:
-        raise ValidationError("K must lie in 1..2**32 - 1, the header's u32 range")
+    if K < 1:
+        raise ValidationError("K must be at least 1")
     return K
 
 
-def _write_header(fh, n, K, d, kind, count):
-    fh.write(_MAGIC)
-    fh.write(struct.pack("<6I", _FORMAT_VERSION, n, K, d, kind, count))
+@contextmanager
+def _parse_errors(path):
+    """Re-raise a ValidationError of stored values as a ParseError; NonFiniteError stays."""
+    try:
+        yield
+    except NonFiniteError:
+        raise
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
-def _read_header(fh, path):
-    head = fh.read(4 + 6 * 4)
-    if len(head) != 4 + 6 * 4:
-        raise ParseError(f"{path}: truncated header")
-    if head[:4] != _MAGIC:
-        raise ParseError(f"{path}: bad magic {head[:4]!r}")
-    version, n, K, d, kind, count = struct.unpack("<6I", head[4:])
-    if version != _FORMAT_VERSION:
-        raise ParseError(f"{path}: unsupported format version {version}")
-    if kind not in (_KIND_MATRIX, _KIND_GROUND_TRUTH):
-        raise ParseError(f"{path}: unknown record kind {kind}")
-    if n < 1 or d < 1:
-        raise ParseError(f"{path}: invalid dimensions n={n} d={d}")
-    return n, K, d, kind, count
+def _read_record(path, kind, names):
+    """The arrays of the .npz archive at path, in the order of names.
 
+    The set of arrays an archive holds is its record kind. A file that
+    cannot be opened raises OSError; one that is no readable archive
+    (empty, truncated, pickled), or of another kind, raises ParseError.
+    """
+    import zipfile  # for BadZipFile; only the loaders need it
 
-def _triplet_dtype(d):
-    return np.dtype([("i", "<u4"), ("j", "<u4"), ("block", "<f8", (d * d,))])
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ParseError(f"{path}: not an .npz archive")
+            with archive:
+                if sorted(archive.files) != sorted(names):
+                    raise ParseError(f"{path}: expected a {kind} record")
+                return [archive[name] for name in names]
+        except (EOFError, RuntimeError, ValueError, zipfile.BadZipFile) as exc:
+            raise ParseError(f"{path}: not a readable .npz archive ({exc})") from None
 
 
 def save_matrix(path, a, K):
-    """Write a SparseBlockMatrix to the binary container.
+    """Write a SparseBlockMatrix to an uncompressed .npz archive at path.
 
-    Layout, little-endian: magic "JSYN", version u32, n u32, K u32, d u32,
-    kind u32 (0 for a matrix), count u32, then count triplets of
-    (i u32, j u32, d*d f64 row-major). K travels in the header so a solver
-    run can be reproduced from the file alone.
+    The archive holds n, K, pairs (m, 2) and data (m, d, d). K travels with
+    the blocks so a solver run can be reproduced from the file alone. The
+    path is used as given: no .npz suffix is added.
     """
-    K = _header_k(K)
-    trip = np.empty(a.pair_count, dtype=_triplet_dtype(a.d))
-    trip["i"] = a.pairs[:, 0]
-    trip["j"] = a.pairs[:, 1]
-    trip["block"] = a.data.reshape(a.pair_count, -1)
+    K = _cluster_count(K)
     with open(path, "wb") as fh:
-        _write_header(fh, a.n, K, a.d, _KIND_MATRIX, a.pair_count)
-        trip.tofile(fh)
+        np.savez(fh, n=a.n, K=K, pairs=a.pairs, data=a.data)
 
 
 def load_matrix(path):
-    """Read a matrix container; returns (SparseBlockMatrix, K)."""
-    with open(path, "rb") as fh:
-        n, K, d, kind, count = _read_header(fh, path)
-        if kind != _KIND_MATRIX:
-            raise ParseError(f"{path}: expected a matrix record")
-        trip = np.fromfile(fh, dtype=_triplet_dtype(d), count=count)
-        if trip.size != count:
-            raise ParseError(f"{path}: truncated block data")
-    pairs = np.column_stack((trip["i"].astype(np.int64), trip["j"].astype(np.int64)))
-    data = trip["block"].reshape(count, d, d)
-    return SparseBlockMatrix(n, d, pairs, data, copy=False), K
+    """Read a matrix archive; returns (SparseBlockMatrix, K)."""
+    n, K, pairs, data = _read_record(path, "matrix", ("n", "K", "pairs", "data"))
+    with _parse_errors(path):
+        if data.ndim != 3:
+            raise ValidationError("data must be an (m, d, d) stack")
+        return SparseBlockMatrix(n, data.shape[-1], pairs, data, copy=False), _cluster_count(K)
+
+
+def _labeling(K, labels, transforms):
+    """(K, labels, transforms) checked as one labeling; ValidationError otherwise."""
+    K = _cluster_count(K)
+    labels = as_indices(labels, "labels")
+    transforms = as_floats(transforms, "transforms")
+    if labels.ndim != 1 or labels.size == 0:
+        raise ValidationError("labels must be a non-empty 1-d array")
+    d = transforms.shape[-1] if transforms.ndim else 0
+    if d < 1 or transforms.shape != (labels.size, d, d):
+        raise ValidationError("transforms must be an (n, d, d) stack with d >= 1")
+    if labels.min() < 1 or labels.max() > K:
+        raise ValidationError("labels must lie in 1..K")
+    return K, labels, transforms
 
 
 def save_labeling(path, K, labels, transforms):
-    """Write a (labels, transforms) pair to the binary container.
+    """Write a (labels, transforms) pair to an uncompressed .npz archive at path.
 
-    Same header as matrices with kind 1, followed by n u32 labels, then one
-    (i, i, O_i) triplet per node carrying the transforms. Unlike GroundTruth
-    this tolerates empty clusters, so recovered estimates can be stored too.
+    The archive holds K, labels (n,) and transforms (n, d, d); the path is
+    used as given. Unlike GroundTruth this tolerates empty clusters, so
+    recovered estimates can be stored too.
     """
-    K = _header_k(K)
-    labels = as_indices(labels, "labels")
-    transforms = as_floats(transforms, "transforms")
-    if labels.ndim != 1:
-        raise ValidationError("labels must be a 1-d array")
-    n = labels.shape[0]
-    d = transforms.shape[-1] if transforms.ndim else 0
-    if transforms.shape != (n, d, d):
-        raise ValidationError("transforms must be an (n, d, d) stack")
-    if n and (labels.min() < 1 or labels.max() > K):
-        raise ValidationError("labels must lie in 1..K")
-    trip = np.empty(n, dtype=_triplet_dtype(d))
-    trip["i"] = np.arange(n)
-    trip["j"] = np.arange(n)
-    trip["block"] = transforms.reshape(n, -1)
+    K, labels, transforms = _labeling(K, labels, transforms)
     with open(path, "wb") as fh:
-        _write_header(fh, n, K, d, _KIND_GROUND_TRUTH, n)
-        labels.astype("<u4").tofile(fh)
-        trip.tofile(fh)
+        np.savez(fh, K=K, labels=labels, transforms=transforms)
 
 
 def load_labeling(path):
-    """Read a labeling container; returns (labels, transforms, K)."""
-    with open(path, "rb") as fh:
-        n, K, d, kind, count = _read_header(fh, path)
-        if kind != _KIND_GROUND_TRUTH:
-            raise ParseError(f"{path}: expected a labeling record")
-        if count != n:
-            raise ParseError(f"{path}: labelings must store one block per node")
-        labels = np.fromfile(fh, dtype="<u4", count=n)
-        if labels.size != n:
-            raise ParseError(f"{path}: truncated labels")
-        trip = np.fromfile(fh, dtype=_triplet_dtype(d), count=count)
-        if trip.size != count:
-            raise ParseError(f"{path}: truncated block data")
-    labels = labels.astype(np.int64)
-    if labels.min() < 1 or labels.max() > K:
-        raise ParseError(f"{path}: stored labels leave 1..K")
-    return labels, trip["block"].reshape(n, d, d), K
+    """Read a labeling archive; returns (labels, transforms, K)."""
+    K, labels, transforms = _read_record(path, "labeling", ("K", "labels", "transforms"))
+    with _parse_errors(path):
+        K, labels, transforms = _labeling(K, labels, transforms)
+    return labels, transforms, K
 
 
 def save_ground_truth(path, gt):
-    """Write a GroundTruth to the binary container (kind 1)."""
+    """Write a GroundTruth as a labeling archive."""
     save_labeling(path, gt.K, gt.labels, gt.transforms)
 
 
 def load_ground_truth(path):
-    """Read a labeling container back into a validated GroundTruth."""
+    """Read a labeling archive back into a validated GroundTruth."""
     labels, transforms, K = load_labeling(path)
-    try:
+    with _parse_errors(path):
         gt = GroundTruth(labels=labels, transforms=transforms)
-    except ValidationError as exc:
-        raise ParseError(f"{path}: {exc}") from None
     if gt.K != K:
         raise ParseError(f"{path}: every cluster index in 1..{K} must appear at least once")
     return gt

@@ -6,7 +6,6 @@ derandomized runs so failures reproduce without shrink-seed hunting.
 """
 
 import os
-import struct
 import sys
 
 import numpy as np
@@ -34,15 +33,14 @@ def rng():
 
 @pytest.fixture
 def nan_block_container(tmp_path):
-    """A matrix container written byte by byte whose second block holds a NaN.
+    """A matrix archive whose second block holds a NaN.
 
-    n=3, K=1, d=2, blocks at (0, 1) and (1, 2), in the documented layout:
-    magic, six u32 header fields, then (i u32, j u32, d*d f64) triplets.
+    n=3, K=1, d=2, blocks at (0, 1) and (1, 2), under the array names
+    save_matrix writes; np.savez writes it, since no SparseBlockMatrix
+    holds a NaN.
     """
     path = tmp_path / "nan_block.bin"
-    blocks = ((0, 1, (1.0, 0.0, 0.0, 1.0)), (1, 2, (0.0, float("nan"), 1.0, 0.0)))
+    data = np.array([np.eye(2), [[0.0, np.nan], [1.0, 0.0]]])
     with open(path, "wb") as fh:
-        fh.write(b"JSYN" + struct.pack("<6I", 1, 3, 1, 2, 0, len(blocks)))
-        for i, j, block in blocks:
-            fh.write(struct.pack("<2I4d", i, j, *block))
+        np.savez(fh, n=3, K=1, pairs=np.array([[0, 1], [1, 2]]), data=data)
     return path

@@ -293,20 +293,20 @@ def quadratic_control_slope(n_values, seed=0):
     Calibrates the log-log fit of the runtime bench: the kernel computes
     all pairwise squared distances of n planar points, which is
     Theta(n^2) work, so the fitted slope should come out near 2. Timed
-    with the bench's protocol, the median of _BENCH_REPS repetitions after
-    one discarded warm-up.
+    with the bench's protocol: round r times each n once, round-robin, so
+    a slow spell of the machine is spread over every n rather than landing
+    on one; round 0 is the discarded warm-up, and each n takes the median
+    of the _BENCH_REPS rounds after it.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    medians = []
-    for n in n_values:
-        x = rng.standard_normal((int(n), 2))
-        samples = []
-        for rep in range(_BENCH_REPS + 1):
+    points = [rng.standard_normal((int(n), 2)) for n in n_values]
+    samples = [[] for _ in n_values]
+    for rep in range(_BENCH_REPS + 1):
+        for x, times in zip(points, samples):
             t0 = time.perf_counter()
             diff = x[:, None, :] - x[None, :, :]
             (diff * diff).sum()
             elapsed = (time.perf_counter() - t0) * 1e3
             if rep:
-                samples.append(elapsed)
-        medians.append(float(np.median(samples)))
-    return fit_loglog_slope(n_values, medians)
+                times.append(elapsed)
+    return fit_loglog_slope(n_values, [float(np.median(times)) for times in samples])

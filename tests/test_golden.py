@@ -2,7 +2,9 @@
 the benchmark's two cells reproduce their pinned instances and results.
 
 scripts/write_golden.py wrote tests/golden/<study>.csv, one trial per cell
-with zero_timings. The integer and text columns must match exactly; the
+with zero_timings, under the BLAS thread variables (OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS, MKL_NUM_THREADS) unset; the script prints the values it
+runs under. The integer and text columns must match exactly; the
 float columns to a relative tolerance of 1e-6 (absolute 1e-9 near zero),
 since other BLAS builds and CPUs differ in the last bits. A change meant to
 move seeded outputs reruns that script (or retakes the pinned values below)

@@ -654,7 +654,7 @@ def test_bundled_configs_load_and_resolve():
     params = load_model_config(configs / "instance.conf")
     assert (params.n, params.K, params.d, params.seed) == (400, 2, 3, 7)
     expected = {
-        "phase_grid": 25, "eta_threshold": 10, "refine_boundary": 9,
+        "phase_grid": 25, "eta_threshold": 10, "eta_threshold_n": 21, "refine_boundary": 9,
         "noise_grid": 6, "snr_vs_d": 4, "runtime_bench": 4,
     }
     found = {path.stem for path in configs.glob("*.conf")} - {"instance"}

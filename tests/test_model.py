@@ -1,7 +1,9 @@
 """Random-model generation, the block-sparse matrix, and serialization."""
 
+import io
 import math
-import struct
+import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -567,24 +569,32 @@ def test_add_noise_determinism_same_stream_key():
 
 
 def test_matrix_serialization_round_trip(tmp_path):
-    gt, a = generate_instance(ModelParams(n=10, K=3, d=2, p=0.7, q=0.2, seed=5))
     path = tmp_path / "matrix.bin"
-    save_matrix(path, a, 3)
-    loaded, big_k = load_matrix(path)
-    assert big_k == 3
-    assert loaded.n == a.n and loaded.d == a.d
-    assert np.array_equal(loaded.pairs, a.pairs)
-    assert np.array_equal(loaded.data, a.data)
+    for d in (1, 2, 3):
+        gt, a = generate_instance(ModelParams(n=10, K=3, d=d, p=0.7, q=0.2, seed=5))
+        empty = SparseBlockMatrix(4, d, np.zeros((0, 2), dtype=np.int64), np.zeros((0, d, d)))
+        for matrix in (a, empty):
+            save_matrix(path, matrix, 3)
+            loaded, big_k = load_matrix(path)
+            assert big_k == 3
+            assert (loaded.n, loaded.d) == (matrix.n, matrix.d)
+            assert np.array_equal(loaded.pairs, matrix.pairs)
+            assert np.array_equal(loaded.data, matrix.data)
+            assert loaded.data.shape == (matrix.pair_count, d, d)
+    # The path is used as given; np.savez would add .npz to a bare name.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["matrix.bin"]
 
 
 def test_ground_truth_serialization_round_trip(tmp_path):
-    gt, _ = generate_instance(ModelParams(n=9, K=2, d=3, p=1.0, q=0.0, seed=6))
     path = tmp_path / "truth.bin"
-    save_ground_truth(path, gt)
-    loaded = load_ground_truth(path)
-    assert np.array_equal(loaded.labels, gt.labels)
-    assert np.array_equal(loaded.transforms, gt.transforms)
-    assert np.array_equal(loaded.sizes, gt.sizes)
+    for d in (1, 2, 3):
+        gt, _ = generate_instance(ModelParams(n=9, K=2, d=d, p=1.0, q=0.0, seed=6))
+        save_ground_truth(path, gt)
+        loaded = load_ground_truth(path)
+        assert np.array_equal(loaded.labels, gt.labels)
+        assert np.array_equal(loaded.transforms, gt.transforms)
+        assert np.array_equal(loaded.sizes, gt.sizes)
+        assert loaded.K == gt.K
 
 
 def test_labeling_tolerates_empty_cluster(tmp_path):
@@ -596,7 +606,7 @@ def test_labeling_tolerates_empty_cluster(tmp_path):
     assert big_k == 2
     assert np.array_equal(got_labels, labels)
     assert np.array_equal(got_transforms, transforms)
-    # The labels alone name one cluster; the header's second is empty.
+    # The labels alone name one cluster; the stored K names a second, empty one.
     with pytest.raises(ParseError, match=r"every cluster index in 1\.\.2 must appear"):
         load_ground_truth(path)
 
@@ -617,16 +627,20 @@ def test_loader_rejects_corruption(tmp_path):
     path = tmp_path / "m.bin"
     save_matrix(path, a, 2)
     raw = path.read_bytes()
+    npy = io.BytesIO()
+    np.save(npy, a.data)
 
-    bad_magic = tmp_path / "bad_magic.bin"
-    bad_magic.write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(ParseError, match="magic"):
-        load_matrix(bad_magic)
-
-    truncated = tmp_path / "short.bin"
-    truncated.write_bytes(raw[: len(raw) - 8])
-    with pytest.raises(ParseError, match="truncated"):
-        load_matrix(truncated)
+    with pytest.raises(OSError):
+        load_matrix(tmp_path / "ghost.bin")
+    bad = tmp_path / "bad.bin"
+    # A truncated archive loses the directory at its end, whatever the cut.
+    cuts = (1, 4, 30, len(raw) // 2, len(raw) - 22, len(raw) - 1)
+    for content in (b"", b"this is not an archive", pickle.dumps({"K": 2}), npy.getvalue(),
+                    *(raw[:cut] for cut in cuts)):
+        bad.write_bytes(content)
+        for loader in (load_matrix, load_labeling, load_ground_truth):
+            with pytest.raises(ParseError, match=f"^{re.escape(str(bad))}: "):
+                loader(bad)
 
     with pytest.raises(ParseError, match="matrix"):
         truth = tmp_path / "t.bin"
@@ -634,37 +648,48 @@ def test_loader_rejects_corruption(tmp_path):
         load_matrix(truth)
 
 
-def _header(version=1, n=2, K=2, d=1, kind=1, count=2):
-    """A container header in the documented layout: magic, six u32 fields."""
-    return b"JSYN" + struct.pack("<6I", version, n, K, d, kind, count)
+_MATRIX = dict(n=3, K=2, pairs=np.array([[0, 1], [1, 2]]), data=np.ones((2, 1, 1)))
+_LABELING = dict(K=2, labels=np.array([1, 2]), transforms=np.ones((2, 1, 1)))
 
 
-def _node_blocks(n):
-    """One d=1 (i, i, 1.0) triplet per node, as labelings store transforms."""
-    return b"".join(struct.pack("<2Id", i, i, 1.0) for i in range(n))
-
-
-@pytest.mark.parametrize("loader, raw, message", [
-    pytest.param(load_matrix, _header()[:20], "truncated header", id="short-header"),
-    pytest.param(load_matrix, _header(version=2), "unsupported format version 2", id="version"),
-    pytest.param(load_labeling, _header(kind=7), "unknown record kind 7", id="kind"),
-    pytest.param(load_matrix, _header(n=0, kind=0, count=0), "invalid dimensions n=0 d=1",
-                 id="zero-n"),
-    pytest.param(load_labeling, _header(d=0), "invalid dimensions n=2 d=0", id="zero-d"),
-    pytest.param(load_labeling, _header(count=3) + struct.pack("<2I", 1, 2) + _node_blocks(3),
-                 "one block per node", id="count-not-n"),
-    pytest.param(load_labeling, _header() + struct.pack("<I", 1), "truncated labels",
-                 id="short-labels"),
-    pytest.param(load_labeling, _header() + struct.pack("<2I", 1, 2) + _node_blocks(1),
-                 "truncated block data", id="short-blocks"),
-    pytest.param(load_labeling, _header() + struct.pack("<2I", 1, 3) + _node_blocks(2),
-                 r"stored labels leave 1\.\.K", id="label-over-K"),
-    pytest.param(load_labeling, _header() + struct.pack("<2I", 0, 2) + _node_blocks(2),
-                 r"stored labels leave 1\.\.K", id="label-zero"),
+@pytest.mark.parametrize("loader, arrays, message", [
+    pytest.param(load_labeling, {**_LABELING, "O": np.eye(2)}, "expected a labeling record",
+                 id="kind"),
+    pytest.param(load_matrix, dict(n=3, K=2, pairs=_MATRIX["pairs"]), "expected a matrix record",
+                 id="missing-array"),
+    pytest.param(load_matrix, {**_MATRIX, "n": 0}, "n and d must be at least 1", id="zero-n"),
+    pytest.param(load_labeling, {**_LABELING, "transforms": np.ones((2, 0, 0))},
+                 r"transforms must be an \(n, d, d\) stack with d >= 1", id="zero-d"),
+    pytest.param(load_labeling, {**_LABELING, "labels": np.ones(0, dtype=int),
+                                 "transforms": np.ones((0, 1, 1))},
+                 "labels must be a non-empty 1-d array", id="short-labels"),
+    pytest.param(load_labeling, {**_LABELING, "transforms": np.ones((3, 1, 1))},
+                 r"transforms must be an \(n, d, d\) stack", id="count-not-n"),
+    pytest.param(load_labeling, {**_LABELING, "transforms": np.ones((1, 1, 1))},
+                 r"transforms must be an \(n, d, d\) stack", id="short-blocks"),
+    pytest.param(load_labeling, {**_LABELING, "K": [2]}, "K must be an integer", id="K-vector"),
+    pytest.param(load_labeling, {**_LABELING, "K": 2.5}, "K must be an integer", id="K-float"),
+    pytest.param(load_matrix, {**_MATRIX, "K": 0}, "K must be at least 1", id="K-zero"),
+    pytest.param(load_matrix, {**_MATRIX, "n": [3]}, "n must be an integer", id="n-vector"),
+    pytest.param(load_matrix, {**_MATRIX, "pairs": np.ones((2, 3), dtype=int)},
+                 r"pairs must hold \(i, j\) index pairs", id="pairs-shape"),
+    pytest.param(load_matrix, {**_MATRIX, "data": np.ones((2, 1))},
+                 r"data must be an \(m, d, d\) stack", id="blocks-not-3d"),
+    pytest.param(load_matrix, {**_MATRIX, "data": np.ones((2, 1, 2))},
+                 "data must hold one d x d block per pair", id="blocks-not-square"),
+    pytest.param(load_matrix, {**_MATRIX, "pairs": np.array([[0, 1], [1, 3]])},
+                 r"pair indices must lie in 0\.\.n-1", id="pair-out-of-range"),
+    pytest.param(load_labeling, {**_LABELING, "labels": np.array([1, None])},
+                 "not a readable .npz archive", id="object-array"),
+    pytest.param(load_labeling, {**_LABELING, "labels": np.array([1, 3])},
+                 r"labels must lie in 1\.\.K", id="label-over-K"),
+    pytest.param(load_labeling, {**_LABELING, "labels": np.array([0, 2])},
+                 r"labels must lie in 1\.\.K", id="label-zero"),
 ])
-def test_loaders_reject_crafted_containers(tmp_path, loader, raw, message):
+def test_loaders_reject_crafted_containers(tmp_path, loader, arrays, message):
     path = tmp_path / "crafted.bin"
-    path.write_bytes(raw)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
     with pytest.raises(ParseError, match=message):
         loader(path)
 
