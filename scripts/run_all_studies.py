@@ -18,15 +18,8 @@ from pathlib import Path
 from syncluster import cli
 
 CONFIG_DIR = Path(__file__).resolve().parent / "configs"
-STUDIES = (
-    "phase_grid",
-    "eta_threshold",
-    "eta_threshold_n",
-    "refine_boundary",
-    "noise_grid",
-    "snr_vs_d",
-    "runtime_bench",
-)
+# Every config but instance.conf, the model that `syncluster generate` reads.
+STUDIES = tuple(sorted(path.stem for path in CONFIG_DIR.glob("*.conf") if path.stem != "instance"))
 
 
 def main(argv=None):

@@ -24,9 +24,11 @@ from syncluster.harness import _THREAD_VARIABLES, load_config, run_sweep
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "scripts" / "configs"
 GOLDEN_DIR = ROOT / "tests" / "golden"
-STUDIES = (
-    "phase_grid", "eta_threshold", "eta_threshold_n", "refine_boundary", "noise_grid", "snr_vs_d",
-)
+# Every config but instance.conf, a model rather than a study, and the
+# runtime bench, whose output is wall-clock time.
+STUDIES = tuple(sorted(
+    path.stem for path in CONFIG_DIR.glob("*.conf") if path.stem not in ("instance", "runtime_bench")
+))
 
 
 def write_study(name, out_path):

@@ -4,12 +4,12 @@ The pipeline: eigendecompose the block observation matrix, run a blockwise
 column-pivoted QR on the transposed eigenvector matrix, then read cluster
 labels and per-node orthogonal transforms off the R factor. Optional
 refinement passes improve boundary-regime labels and make the transforms
-exact on noiseless instances.
+exact on noiseless instances. run_pipeline runs it all in one call.
 """
 
 __version__ = "0.1.0"
 
-from .cpqr import BlockCpqrFactors, apply_block_permutation, blockwise_cpqr
+from .cpqr import BlockCpqrFactors, blockwise_cpqr
 from .eigensolver import EigenBasis, SolverConfig, top_eigenpairs
 from .errors import (
     NoConvergenceError,
@@ -17,7 +17,6 @@ from .errors import (
     ParseError,
     SynclusterError,
     ValidationError,
-    WrongKError,
 )
 from .linalg import polar_decompose
 from .metrics import (
@@ -33,10 +32,7 @@ from .model import (
     ModelParams,
     RandomSource,
     SparseBlockMatrix,
-    add_gaussian_noise,
-    generate_ground_truth,
     generate_instance,
-    generate_observation,
     load_ground_truth,
     load_labeling,
     load_matrix,
@@ -50,6 +46,7 @@ from .recovery import (
     connectivity_check,
     refine_clusters,
     refine_transforms,
+    run_pipeline,
 )
 
 __all__ = [
@@ -66,25 +63,21 @@ __all__ = [
     "SparseBlockMatrix",
     "SynclusterError",
     "ValidationError",
-    "WrongKError",
-    "add_gaussian_noise",
     "alpha_for_eta",
-    "apply_block_permutation",
     "assign_and_extract",
     "beta_for_eta",
     "blockwise_cpqr",
     "connectivity_check",
     "eta",
     "exact_recovery",
-    "generate_ground_truth",
     "generate_instance",
-    "generate_observation",
     "load_ground_truth",
     "load_labeling",
     "load_matrix",
     "polar_decompose",
     "refine_clusters",
     "refine_transforms",
+    "run_pipeline",
     "save_ground_truth",
     "save_labeling",
     "save_matrix",

@@ -17,16 +17,10 @@ import numpy as np
 from . import __version__
 from .eigensolver import SolverConfig
 from .errors import ParseError, SynclusterError, ValidationError
-from .harness import (
-    REFINE_CHOICES,
-    load_config,
-    load_model_config,
-    run_pipeline,
-    run_runtime_bench,
-    run_sweep,
-)
+from .harness import load_config, load_model_config, run_runtime_bench, run_sweep
 from .metrics import exact_recovery, snr_ratio, sync_error
 from .model import generate_instance, load_ground_truth, load_matrix, save_ground_truth, save_labeling, save_matrix
+from .recovery import REFINE_CHOICES, run_pipeline
 
 
 class _Parser(argparse.ArgumentParser):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ValidationError, as_floats, as_index, as_indices
+from .errors import NonFiniteError, ValidationError, as_floats, as_index
 
 # A pivot column whose R diagonal falls below this absolute value marks
 # the input as rank deficient.
@@ -24,21 +24,20 @@ _RANK_CUTOFF = 1e-14
 
 @dataclass(frozen=True)
 class BlockCpqrFactors:
-    """Q, R, and the block permutation of a blockwise CPQR.
+    """Q, R, and the pivot blocks of a blockwise CPQR.
 
     r is in input column order (block column j corresponds to node j), so
     q @ r reconstructs the input directly and downstream block reads need
-    no index translation. perm lists, per pivot position, the original
-    block-column index placed there: the K pivots in selection order, then
-    the unchosen blocks in ascending order. pivots is its leading K
-    entries. rank_deficient flags a pivot column whose residual vanished,
-    i.e. a diagonal entry of the pivoted R below 1e-14 in magnitude.
+    no index translation. pivots lists the K block columns chosen, in
+    selection order; r's pivot block columns, taken in that order, form an
+    upper-triangular K*d square. rank_deficient flags a pivot column whose
+    residual vanished, i.e. a diagonal entry of that square below 1e-14 in
+    magnitude.
     """
 
     q: np.ndarray
     r: np.ndarray
     pivots: np.ndarray
-    perm: np.ndarray
     d: int
     rank_deficient: bool = False
 
@@ -47,34 +46,6 @@ class BlockCpqrFactors:
         d = self.d
         sq = (self.r * self.r).reshape(-1, d, self.r.shape[1] // d, d)
         return np.sqrt(sq.sum(axis=(1, 3)))
-
-
-def apply_block_permutation(m, perm):
-    """Permute a matrix by blocks of d columns, d inferred from widths.
-
-    Block column j of the output is block column perm[j] of the input.
-
-    Args:
-        m: array whose column count is a multiple of len(perm).
-        perm: permutation of 0..n-1 as an integer array.
-
-    Returns:
-        Permuted copy of m.
-
-    Raises:
-        ValidationError: perm is not a bijection on 0..n-1, or the column
-            count of m is not divisible by len(perm).
-    """
-    m = np.asarray(m)
-    perm = as_indices(perm, "perm")
-    n = perm.size
-    if n < 1 or m.ndim != 2 or m.shape[1] % n != 0:
-        raise ValidationError("column count must be a positive multiple of len(perm)")
-    if not np.array_equal(np.sort(perm), np.arange(n)):
-        raise ValidationError("perm must be a bijection on 0..n-1")
-    d = m.shape[1] // n
-    cols = (perm[:, None] * d + np.arange(d)[None, :]).ravel()
-    return m[:, cols].copy()
 
 
 def blockwise_cpqr(x, d):
@@ -86,10 +57,9 @@ def blockwise_cpqr(x, d):
 
     Returns:
         BlockCpqrFactors. q is (K*d, K*d) orthogonal; r is (K*d, n*d) in
-        input column order; applying factors.perm to r's block columns
-        gives the pivoted form whose leading K*d square is upper
-        triangular. Ties between equal residuals go to the smallest block
-        index.
+        input column order, and its pivot block columns, in pivot order,
+        form an upper-triangular K*d square. Ties between equal residuals
+        go to the smallest block index.
 
     Raises:
         NonFiniteError: x contains NaN or Inf.
@@ -123,12 +93,10 @@ def blockwise_cpqr(x, d):
         q, _ = np.linalg.qr(x[:, cols], mode="complete")
 
     r = q.T @ x
-    pivots = cols[::d] // d
     return BlockCpqrFactors(
         q=q,
         r=r,
-        pivots=pivots,
-        perm=np.concatenate([pivots, np.flatnonzero(~chosen)]),
+        pivots=cols[::d] // d,
         d=d,
         rank_deficient=bool((np.abs(np.diag(r[:, cols])) < _RANK_CUTOFF).any()),
     )

@@ -60,6 +60,15 @@ class SolverConfig:
             raise ValidationError("seed must be non-negative")
 
 
+def _solver_config(cfg):
+    """cfg itself, or SolverConfig() for None; anything else raises ValidationError."""
+    if cfg is None:
+        return SolverConfig()
+    if not isinstance(cfg, SolverConfig):
+        raise ValidationError(f"cfg must be a SolverConfig or None, got {cfg!r}")
+    return cfg
+
+
 @dataclass(frozen=True)
 class EigenBasis:
     """Column-orthonormal eigenvector estimates with their eigenvalues.
@@ -116,7 +125,7 @@ def top_eigenpairs(a, k, cfg=None, start=None):
     Args:
         a: SparseBlockMatrix (symmetric by construction).
         k: number of eigenpairs, 1 <= k <= n*d.
-        cfg: SolverConfig; defaults apply when omitted.
+        cfg: SolverConfig, or None for the defaults.
         start: optional (n*d, j) block, 1 <= j <= k, whose columns span a
             guess at the wanted eigenspace.
 
@@ -126,12 +135,11 @@ def top_eigenpairs(a, k, cfg=None, start=None):
     Raises:
         NoConvergenceError: the residual is still above tolerance after
             _MAX_ITERATIONS; the error carries the best iterate in .best.
-        ValidationError: k out of range, bad config, or a start block
-            of the wrong shape.
+        ValidationError: k out of range, cfg neither None nor a
+            SolverConfig, or a start block of the wrong shape.
         NonFiniteError: start contains NaN or Inf.
     """
-    if cfg is None:
-        cfg = SolverConfig()
+    cfg = _solver_config(cfg)
     nd = a.nd
     k = as_index(k, "k")
     if not 1 <= k <= nd:

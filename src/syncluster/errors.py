@@ -36,10 +36,6 @@ class NonFiniteError(ValidationError):
     """A matrix argument contains NaN or Inf entries."""
 
 
-class WrongKError(ValidationError):
-    """A two-cluster-only computation was invoked with K != 2."""
-
-
 class NoConvergenceError(SynclusterError):
     """The iterative eigensolver hit its iteration cap before converging.
 

@@ -32,17 +32,13 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .cpqr import blockwise_cpqr
-from .eigensolver import SolverConfig, top_eigenpairs
+from .eigensolver import SolverConfig
 from .errors import ParseError, SynclusterError, ValidationError, as_index, as_real, as_values
 from .metrics import alpha_for_eta, beta_for_eta, eta, exact_recovery, snr_ratio, sync_error
 from .model import ModelParams, RandomSource, generate_instance
-from .recovery import (
-    REFINE_FRACTION, _assign_stacked, assign_and_extract, refine_clusters, refine_transforms,
-)
+from .recovery import REFINE_CHOICES, run_pipeline
 
 MODES = ("grid", "eta-sweep", "runtime", "snr", "noise-grid")
-REFINE_CHOICES = ("none", "clusters", "transforms", "both")
 
 # Phase timings as run_pipeline reports them. The bench names each phase by
 # the middle of its column name (t_eigen_ms -> eigen) and adds two sums.
@@ -60,15 +56,6 @@ _BENCH_REPS = 5
 _TIMING_NOTE = "monotonic clock, per-phase wall time"
 # Thread-count variables of the BLAS builds numpy ships with or links.
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-# Residual target of the global solve when refine_transforms re-solves every
-# transform, so the basis feeds only CPQR and the labels. On sparse-large and
-# n=400 instances near the threshold, 1e-2 gave the same labels as 1e-8 after
-# refine_clusters; 1e-1 moved raw labels and flipped exact-recovery verdicts.
-_LABEL_TOLERANCE = 1e-2
-
-FLAG_DEGENERATE_GAP = "DegenerateGap"
-FLAG_RANK_DEFICIENT = "RankDeficient"
 
 
 @dataclass
@@ -195,79 +182,6 @@ def resolve_cells(spec):
         for density in _densities(spec, n, d)
         for sigma in spec.sigma
     ]
-
-
-def run_pipeline(a, big_k, d, cfg, refine="none", fraction=REFINE_FRACTION):
-    """Eigensolve, factor, assign, optionally refine; time each phase.
-
-    cfg=None means SolverConfig(). The assignment reads labels and polar
-    transforms off R: under refine none through assign_and_extract, one
-    polar factor per node, and under every other refine mode through
-    _assign_stacked, all n polar factors in one stacked call. Both are
-    timed in t_recover_ms and agree up to rounding. Under refine
-    transforms or both, refine_transforms replaces the transforms, so the
-    global basis only feeds the labels: it runs to _LABEL_TOLERANCE
-    (1e-2), or to cfg.tolerance if that is looser, and the restricted
-    solves keep cfg.tolerance. Otherwise the global solve runs to
-    cfg.tolerance.
-
-    Returns:
-        (factors, result, timings, flags): timings is a dict of phase
-        milliseconds; flags lists degeneracies observed.
-
-    Raises:
-        ValidationError: big_k or d is not an integer, big_k is outside
-            1..a.n, d is not a.d, or refine is not one of REFINE_CHOICES.
-    """
-    big_k, d = as_index(big_k, "big_k"), as_index(d, "d")
-    if not 1 <= big_k <= a.n:
-        raise ValidationError(f"big_k must lie in 1..{a.n}, got {big_k}")
-    if d != a.d:
-        raise ValidationError(f"d must equal the matrix's block size {a.d}, got {d}")
-    if refine not in REFINE_CHOICES:
-        raise ValidationError(f"refine must be one of {'/'.join(REFINE_CHOICES)}")
-    if cfg is None:
-        cfg = SolverConfig()
-    flags = []
-    solves_transforms = refine in ("transforms", "both")
-    if solves_transforms:
-        global_cfg = replace(cfg, tolerance=max(cfg.tolerance, _LABEL_TOLERANCE))
-    else:
-        global_cfg = cfg
-    t0 = time.perf_counter()
-    basis = top_eigenpairs(a, big_k * d, global_cfg)
-    t_eigen = (time.perf_counter() - t0) * 1e3
-    if basis.degenerate_gap:
-        flags.append(FLAG_DEGENERATE_GAP)
-
-    t0 = time.perf_counter()
-    factors = blockwise_cpqr(basis.vectors.T, d)
-    t_cpqr = (time.perf_counter() - t0) * 1e3
-    if factors.rank_deficient:
-        flags.append(FLAG_RANK_DEFICIENT)
-
-    t0 = time.perf_counter()
-    result = (assign_and_extract if refine == "none" else _assign_stacked)(factors, big_k, d)
-    t_recover = (time.perf_counter() - t0) * 1e3
-
-    t_refine = 0.0
-    if refine in ("clusters", "both"):
-        t0 = time.perf_counter()
-        result = refine_clusters(factors, result, fraction)
-        t_refine += (time.perf_counter() - t0) * 1e3
-    if solves_transforms:
-        t0 = time.perf_counter()
-        result = refine_transforms(a, result, cfg)
-        t_refine += (time.perf_counter() - t0) * 1e3
-
-    flags.extend(f for f in result.flags if f not in flags)
-    timings = {
-        "t_eigen_ms": t_eigen,
-        "t_cpqr_ms": t_cpqr,
-        "t_recover_ms": t_recover,
-        "t_refine_ms": t_refine,
-    }
-    return factors, result, timings, flags
 
 
 def _run_trial(task):

@@ -10,7 +10,7 @@ value numeric in CSV output.
 
 import numpy as np
 
-from .errors import ValidationError, WrongKError, as_floats, as_index, as_indices, as_real
+from .errors import ValidationError, as_floats, as_index, as_indices, as_real
 from .linalg import polar_decompose
 
 # Stand-in for log(0): below the log of the smallest positive double.
@@ -82,9 +82,10 @@ def sync_error(est_transforms, gt):
 
 
 def _check_arguments(n, d, **reals):
-    """Every argument a real number, n >= 2 and d >= 1, as every form of the statistic needs."""
+    """Every argument a finite real number, n >= 2 and d >= 1, as every form of the statistic needs."""
     for name, value in dict(n=n, d=d, **reals).items():
-        as_real(value, name)
+        if not np.isfinite(as_real(value, name)):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
     if n < 2:
         raise ValidationError("n must be at least 2")
     if d < 1:
@@ -197,11 +198,13 @@ def snr_ratio(factors, true_labels):
         float, possibly +inf.
 
     Raises:
-        WrongKError: the factorization does not have exactly 2 block rows.
+        ValidationError: the factorization does not have exactly 2 block
+            rows, or true_labels does not give each node a label in {1, 2}
+            with at least one node in cluster 1.
     """
     r, d = factors.r, factors.d
     if r.shape[0] != 2 * d:
-        raise WrongKError("the ratio is defined for exactly two clusters")
+        raise ValidationError("the ratio is defined for exactly two clusters")
     labels = as_indices(true_labels, "true_labels")
     if labels.shape != (r.shape[1] // d,):
         raise ValidationError("true_labels must have one entry per node")

@@ -20,7 +20,8 @@ the pair triangle at a time with a <= b; the impostor and noise streams are
 read in the lexicographic order of the pairs they fill. Generation costs
 O(m) time and memory for m stored blocks, and fills the blocks over slices
 of the pair range, so no whole-length gather or draw sits beside them;
-sigma > 0 stores every pair and is bounded by a memory budget instead.
+sigma > 0 stores every pair. ModelParams bounds the blocks either model is
+expected to store by one memory budget.
 """
 
 from contextlib import contextmanager
@@ -49,19 +50,19 @@ _STREAM_SOLVER = 4  # the eigensolver's starting basis
 # tile of its own.
 _MATVEC_TILE_ELEMS = 1 << 14
 
-# Block elements per slice of the pair range that generate_observation
+# Block elements per slice of the pair range that _generate_observation
 # fills, and that SparseBlockMatrix checks, at a time (1 MiB of blocks): the
 # gathered transforms, normal draws and Haar factors, and the checks'
 # masks and keys, are then bounded by the slice, not by the stored blocks.
 _SLICE_ELEMS = 1 << 17
 
-# Largest noise-block payload (n(n-1)/2 * d^2 float64s) that sigma > 0 may
-# draw. The noise path peaks at about 1.25 times the bytes it stores (the
-# noise blocks and the pairs, which SparseBlockMatrix keeps without
-# copying, plus the index grid), so a size over this fails with
-# ValidationError before anything is allocated, not with an out-of-memory
-# kill partway through.
-_DENSE_NOISE_BUDGET_BYTES = 1 << 30
+# Largest expected block payload (d^2 float64s per stored pair) an instance
+# may store: every pair when sigma > 0, and p or q of each cluster block's
+# pairs otherwise. Generation peaks at about 1.25 to 1.5 times the bytes it
+# stores, so a size over this fails with ValidationError in ModelParams,
+# before anything is allocated, not with an out-of-memory kill partway
+# through.
+_STORED_BYTES_BUDGET = 1 << 30
 
 # Largest n whose pair keys i*n + j < n**2 fit int64: isqrt(2**63 - 1).
 _MAX_NODES = 3_037_000_499
@@ -97,7 +98,8 @@ class ModelParams:
 
     sizes defaults to an equal split of n over K clusters (larger clusters
     first when K does not divide n). sigma is the additive Gaussian noise
-    level; 0 means the base model.
+    level; 0 means the base model. The blocks an instance is expected to
+    store must fit the 1 GiB budget (_STORED_BYTES_BUDGET).
     """
 
     n: int
@@ -124,8 +126,6 @@ class ModelParams:
             raise ValidationError("q must lie in [0, 1]")
         if not 0.0 <= as_real(self.sigma, "sigma") < np.inf:
             raise ValidationError("sigma must be finite and non-negative")
-        if self.sigma > 0:
-            _check_dense_noise_budget(self.n, self.d)
         if self.sizes is None:
             base, extra = divmod(self.n, self.K)
             if base == 0:
@@ -141,6 +141,17 @@ class ModelParams:
                 raise ValidationError("every cluster size must be at least 1")
             if sum(sizes) != self.n:
                 raise ValidationError("cluster sizes must sum to n")
+        n, d = self.n, self.d
+        pairs = n * (n - 1) // 2
+        if self.sigma == 0:
+            within = sum(s * (s - 1) // 2 for s in sizes)
+            pairs = self.p * within + self.q * (pairs - within)
+        need = pairs * d * d * 8
+        if need > _STORED_BYTES_BUDGET:
+            raise ValidationError(
+                f"n={n}, d={d}, sigma={self.sigma:g} expects {need / 2**30:.2f} GiB of "
+                f"stored blocks, over the {_STORED_BYTES_BUDGET / 2**30:g} GiB budget"
+            )
 
 
 @dataclass(frozen=True)
@@ -364,34 +375,16 @@ def _read(arr, idx):
     return arr[idx] if isinstance(idx, slice) else np.take(arr, idx, axis=0)
 
 
-def generate_ground_truth(params):
-    """Draw ground truth: contiguous cluster labels and Haar transforms.
+def _generate_ground_truth(params):
+    """Contiguous cluster labels and i.i.d. Haar transforms for params.
 
     The first sizes[0] nodes form cluster 1, the next sizes[1] cluster 2,
-    and so on. Transforms are i.i.d. Haar orthogonal. Deterministic given
-    params.seed.
-
-    Args:
-        params: validated ModelParams.
-
-    Returns:
-        GroundTruth.
+    and so on.
     """
     labels = np.repeat(np.arange(1, params.K + 1), params.sizes)
     rng = RandomSource(params.seed).stream(_STREAM_TRANSFORMS)
     transforms = haar_from_normals(rng.standard_normal((params.n, params.d, params.d)))
     return GroundTruth(labels=labels, transforms=transforms)
-
-
-def _check_dense_noise_budget(n, d):
-    """Reject a noisy size whose every-pair noise blocks exceed the budget."""
-    need = n * (n - 1) // 2 * d * d * 8
-    if need > _DENSE_NOISE_BUDGET_BYTES:
-        raise ValidationError(
-            f"sigma > 0 stores a block for every pair: n={n}, d={d} needs "
-            f"{need / 2**30:.2f} GiB of noise blocks, over the "
-            f"{_DENSE_NOISE_BUDGET_BYTES / 2**30:g} GiB budget"
-        )
 
 
 def _unrank_triangle(ranks, s):
@@ -413,7 +406,7 @@ def _unrank_triangle(ranks, s):
 
 
 def _sample_pairs(gt, p, q, rng):
-    """The stored pairs of generate_observation, an (m, 2) int64 array in key order.
+    """The stored pairs of _generate_observation, an (m, 2) int64 array in key order.
 
     Its per-block arrays are freed on return, before the caller allocates
     the blocks.
@@ -439,7 +432,7 @@ def _sample_pairs(gt, p, q, rng):
     return pairs
 
 
-def generate_observation(gt, p, q, source):
+def _generate_observation(gt, p, q, source):
     """Draw the random block observation matrix in O(m) time and memory.
 
     Independently for each unordered pair i < j: a same-cluster pair carries
@@ -459,19 +452,9 @@ def generate_observation(gt, p, q, source):
     sorted order of all cross pairs and the gathers and draws beside the
     stored blocks are bounded by one slice.
 
-    Args:
-        gt: GroundTruth.
-        p: within-cluster block probability in [0, 1].
-        q: cross-cluster block probability in [0, 1].
-        source: RandomSource rooting the presence and impostor draws.
-
-    Returns:
-        SparseBlockMatrix.
+    The source roots the presence and impostor draws; p and q come from a
+    validated ModelParams.
     """
-    if not 0.0 <= as_real(p, "p") <= 1.0:
-        raise ValidationError("p must lie in [0, 1]")
-    if not 0.0 <= as_real(q, "q") <= 1.0:
-        raise ValidationError("q must lie in [0, 1]")
     d = gt.d
     pairs = _sample_pairs(gt, p, q, source.stream(_STREAM_PRESENCE))
 
@@ -501,39 +484,22 @@ def generate_instance(params):
         (GroundTruth, SparseBlockMatrix).
     """
     source = RandomSource(params.seed)
-    gt = generate_ground_truth(params)
-    a = generate_observation(gt, params.p, params.q, source)
+    gt = _generate_ground_truth(params)
+    a = _generate_observation(gt, params.p, params.q, source)
     if params.sigma > 0:
-        a = add_gaussian_noise(a, params.sigma, source)
+        a = _add_gaussian_noise(a, params.sigma, source)
     return gt, a
 
 
-def add_gaussian_noise(a, sigma, source):
-    """Perturb every pair i < j with an i.i.d. N(0, sigma^2) block.
+def _add_gaussian_noise(a, sigma, source):
+    """Perturb every pair i < j with an i.i.d. N(0, sigma^2) block, sigma > 0.
 
     Noise lands on all pairs, including absent ones, so the result stores a
     block for every pair (dense by block). Symmetry is preserved because
-    only the i < j direction is stored; diagonal blocks stay zero. sigma=0
-    returns the input unchanged.
-
-    Args:
-        a: SparseBlockMatrix.
-        sigma: noise level, finite and >= 0.
-        source: RandomSource rooting the noise draws.
-
-    Returns:
-        SparseBlockMatrix.
-
-    Raises:
-        ValidationError: sigma > 0 and the n(n-1)/2 noise blocks would
-            exceed the dense-noise memory budget (1 GiB).
+    only the i < j direction is stored; diagonal blocks stay zero. The
+    source roots the noise draws.
     """
-    if not 0.0 <= as_real(sigma, "sigma") < np.inf:
-        raise ValidationError("sigma must be finite and non-negative")
-    if sigma == 0:
-        return a
     n, d = a.n, a.d
-    _check_dense_noise_budget(n, d)
     pairs = np.column_stack(np.triu_indices(n, k=1))
     data = source.stream(_STREAM_NOISE).standard_normal((pairs.shape[0], d, d))
     data *= sigma

@@ -5,9 +5,9 @@ its mass in one block row in the noiseless case, so the row of largest
 Frobenius norm names the cluster and the polar factor of that block (then
 transposed) gives the orthogonal transform estimate. Clusters are numbered
 in order of their lowest node, whatever order CPQR pivoted the block rows
-in. assign_and_extract takes the polar factors one node at a time, and
-_assign_stacked, which run_pipeline uses under every refine mode but none,
-takes them all in one stacked call. Refinement passes re-assign
+in. assign_and_extract takes the polar factors one node at a time;
+run_pipeline, which composes the whole pipeline, takes them all in one
+stacked call under every refine mode but none. Refinement passes re-assign
 low-confidence labels by mean squared block-column similarity, re-reading
 a moved node's transform off its new cluster's block row, and re-estimate
 transforms from restricted eigenvectors, one solve per connected component
@@ -18,11 +18,13 @@ within-cluster pair has nothing to solve and keeps its input transform.
 Every pass hands on orthogonal transforms.
 """
 
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eigensolver import top_eigenpairs
+from .cpqr import blockwise_cpqr
+from .eigensolver import _solver_config, top_eigenpairs
 from .errors import NonFiniteError, ValidationError, as_floats, as_index, as_indices, as_real
 from .linalg import polar_decompose
 from .model import SparseBlockMatrix
@@ -35,6 +37,17 @@ _ZERO_COLUMN_CUTOFF = 1e-12
 # and in every sweep trial.
 REFINE_FRACTION = 0.10
 
+# run_pipeline's refine modes: which passes follow the assignment.
+REFINE_CHOICES = ("none", "clusters", "transforms", "both")
+
+# Residual target of the global solve when refine_transforms re-solves every
+# transform, so the basis feeds only CPQR and the labels. On sparse-large and
+# n=400 instances near the threshold, 1e-2 gave the same labels as 1e-8 after
+# refine_clusters; 1e-1 moved raw labels and flipped exact-recovery verdicts.
+_LABEL_TOLERANCE = 1e-2
+
+FLAG_DEGENERATE_GAP = "DegenerateGap"
+FLAG_RANK_DEFICIENT = "RankDeficient"
 FLAG_ZERO_COLUMN = "ZeroColumn"
 FLAG_EMPTY_CLUSTER = "EmptyCluster"
 FLAG_DISCONNECTED_CLUSTER = "DisconnectedCluster"
@@ -86,22 +99,12 @@ def assign_and_extract(factors, big_k, d):
     # One polar_decompose per node rather than one over the stack: batched,
     # the pass gets so fast at small n that fixed per-call costs (CPQR's and
     # its own) dominate, and the runtime bench's excl_eigen slope (acceptance
-    # criterion 8, which runs refine none) falls below its bound. Every other
-    # refine mode takes _assign_stacked. Zero columns (confidence 0) keep the
-    # identity.
+    # criterion 8, which runs refine none) falls below its bound. Under every
+    # other refine mode run_pipeline takes the stacked call. Zero columns
+    # (confidence 0) keep the identity.
     for i in np.flatnonzero(result.confidence != 0):
         transforms[i] = polar_decompose(transforms[i].T).T
     return result
-
-
-def _assign_stacked(factors, big_k, d):
-    """assign_and_extract's result, its polar factors from one stacked call.
-
-    Equal to assign_and_extract up to rounding. run_pipeline uses it under
-    every refine mode but none, whose per-node loop criterion 8 times.
-    """
-    result = _read_labels(factors, big_k, d)
-    return replace(result, transforms=polar_decompose(result.transforms))
 
 
 def _read_labels(factors, big_k, d):
@@ -110,7 +113,7 @@ def _read_labels(factors, big_k, d):
     Labels, confidence, flags and numbering are assign_and_extract's; each
     node's transform is its label's block of R, transposed but not yet
     orthogonal (the identity on all-zero columns). Private to this module:
-    assign_and_extract and _assign_stacked take the polar factors, and no
+    assign_and_extract and run_pipeline take the polar factors, and no
     result holding the raw blocks leaves it.
     """
     r = factors.r
@@ -174,7 +177,7 @@ def refine_clusters(factors, result, fraction=REFINE_FRACTION):
 
     Args:
         factors: the same BlockCpqrFactors the result came from.
-        result: RecoveryResult from assign_and_extract or _assign_stacked.
+        result: RecoveryResult from assign_and_extract or run_pipeline.
         fraction: share of nodes to re-examine, in [0, 1].
 
     Returns:
@@ -365,3 +368,79 @@ def _split_by(ids, count):
     """
     order = np.argsort(ids, kind="stable").astype(np.int32 if ids.size < 2**31 else np.int64)
     return np.split(order, np.cumsum(np.bincount(ids, minlength=count))[:-1])
+
+
+def run_pipeline(a, big_k, d, cfg, refine="none", fraction=REFINE_FRACTION):
+    """Eigensolve, factor, assign, optionally refine; time each phase.
+
+    cfg=None means SolverConfig(). The assignment reads labels and polar
+    transforms off R: under refine none through assign_and_extract, one
+    polar factor per node, and under every other refine mode in one
+    stacked polar_decompose of all n blocks. Both are timed in
+    t_recover_ms and agree up to rounding. Under refine transforms or
+    both, refine_transforms replaces the transforms, so the global basis
+    only feeds the labels: it runs to _LABEL_TOLERANCE (1e-2), or to
+    cfg.tolerance if that is looser, and the restricted solves keep
+    cfg.tolerance. Otherwise the global solve runs to cfg.tolerance.
+
+    Returns:
+        (factors, result, timings, flags): timings is a dict of phase
+        milliseconds; flags lists degeneracies observed.
+
+    Raises:
+        ValidationError: big_k or d is not an integer, big_k is outside
+            1..a.n, d is not a.d, refine is not one of REFINE_CHOICES, or
+            cfg is neither None nor a SolverConfig.
+    """
+    big_k, d = as_index(big_k, "big_k"), as_index(d, "d")
+    if not 1 <= big_k <= a.n:
+        raise ValidationError(f"big_k must lie in 1..{a.n}, got {big_k}")
+    if d != a.d:
+        raise ValidationError(f"d must equal the matrix's block size {a.d}, got {d}")
+    if refine not in REFINE_CHOICES:
+        raise ValidationError(f"refine must be one of {'/'.join(REFINE_CHOICES)}")
+    cfg = _solver_config(cfg)
+    flags = []
+    solves_transforms = refine in ("transforms", "both")
+    if solves_transforms:
+        global_cfg = replace(cfg, tolerance=max(cfg.tolerance, _LABEL_TOLERANCE))
+    else:
+        global_cfg = cfg
+    t0 = time.perf_counter()
+    basis = top_eigenpairs(a, big_k * d, global_cfg)
+    t_eigen = (time.perf_counter() - t0) * 1e3
+    if basis.degenerate_gap:
+        flags.append(FLAG_DEGENERATE_GAP)
+
+    t0 = time.perf_counter()
+    factors = blockwise_cpqr(basis.vectors.T, d)
+    t_cpqr = (time.perf_counter() - t0) * 1e3
+    if factors.rank_deficient:
+        flags.append(FLAG_RANK_DEFICIENT)
+
+    t0 = time.perf_counter()
+    if refine == "none":
+        result = assign_and_extract(factors, big_k, d)
+    else:
+        result = _read_labels(factors, big_k, d)
+        result = replace(result, transforms=polar_decompose(result.transforms))
+    t_recover = (time.perf_counter() - t0) * 1e3
+
+    t_refine = 0.0
+    if refine in ("clusters", "both"):
+        t0 = time.perf_counter()
+        result = refine_clusters(factors, result, fraction)
+        t_refine += (time.perf_counter() - t0) * 1e3
+    if solves_transforms:
+        t0 = time.perf_counter()
+        result = refine_transforms(a, result, cfg)
+        t_refine += (time.perf_counter() - t0) * 1e3
+
+    flags.extend(f for f in result.flags if f not in flags)
+    timings = {
+        "t_eigen_ms": t_eigen,
+        "t_cpqr_ms": t_cpqr,
+        "t_recover_ms": t_recover,
+        "t_refine_ms": t_refine,
+    }
+    return factors, result, timings, flags

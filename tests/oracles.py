@@ -92,6 +92,19 @@ def block_residual_norms(x, chosen_blocks, d):
     return out
 
 
+def block_permutation(factors):
+    """The block permutation of a blockwise CPQR: its pivots in selection
+    order, then the unchosen blocks in ascending order."""
+    n = factors.r.shape[1] // factors.d
+    return np.concatenate([factors.pivots, np.setdiff1d(np.arange(n), factors.pivots)])
+
+
+def permute_blocks(m, perm):
+    """Copy of m whose block column j is block column perm[j] of m, d from the widths."""
+    d = m.shape[1] // len(perm)
+    return m[:, (np.asarray(perm)[:, None] * d + np.arange(d)).ravel()]
+
+
 def refine_clusters_labels_oracle(r, d, labels, confidence, cluster_count, fraction):
     """Labels after the refine_clusters vote, one examined node at a time.
 
@@ -296,16 +309,20 @@ def quadratic_control_slope(n_values, seed=0):
     with the bench's protocol: round r times each n once, round-robin, so
     a slow spell of the machine is spread over every n rather than landing
     on one; round 0 is the discarded warm-up, and each n takes the median
-    of the _BENCH_REPS rounds after it.
+    of the _BENCH_REPS rounds after it. The kernel writes into one buffer
+    per n, allocated before any timing, so the page faults of fresh
+    multi-megabyte temporaries do not blur the n^2 work.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     points = [rng.standard_normal((int(n), 2)) for n in n_values]
+    buffers = [np.empty((int(n), int(n), 2)) for n in n_values]
     samples = [[] for _ in n_values]
     for rep in range(_BENCH_REPS + 1):
-        for x, times in zip(points, samples):
+        for x, diff, times in zip(points, buffers, samples):
             t0 = time.perf_counter()
-            diff = x[:, None, :] - x[None, :, :]
-            (diff * diff).sum()
+            np.subtract(x[:, None, :], x[None, :, :], out=diff)
+            np.multiply(diff, diff, out=diff)
+            diff.sum()
             elapsed = (time.perf_counter() - t0) * 1e3
             if rep:
                 times.append(elapsed)

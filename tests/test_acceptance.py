@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import settings
 
 import oracles
-from syncluster.cpqr import apply_block_permutation, blockwise_cpqr
+from syncluster.cpqr import blockwise_cpqr
 from syncluster.eigensolver import SolverConfig, top_eigenpairs
 from syncluster.harness import SweepSpec, run_runtime_bench, run_sweep
 from syncluster.metrics import exact_recovery, sync_error
@@ -221,8 +221,9 @@ def test_criterion_07_cpqr_matches_scalar_oracle():
         )
         # The column reordering must be exactly a block permutation tensored
         # with the d x d identity, and the permuted R upper-triangular.
-        perm_matrix = np.eye(nb)[:, factors.perm]
-        permuted = apply_block_permutation(factors.r, factors.perm)
+        perm = oracles.block_permutation(factors)
+        perm_matrix = np.eye(nb)[:, perm]
+        permuted = oracles.permute_blocks(factors.r, perm)
         assert np.array_equal(permuted, factors.r @ np.kron(perm_matrix, np.eye(d)))
         lead = permuted[:, : big_k * d]
         assert float(np.abs(np.tril(lead, k=-1)).max()) <= 1e-10 * max(

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from syncluster import harness
+from syncluster import harness, recovery
 from syncluster.cli import main
 from syncluster.errors import NoConvergenceError
 from syncluster.harness import CSV_COLUMNS
@@ -162,7 +162,7 @@ def test_solve_no_convergence_exits_one(model_conf, tmp_path, capsys, monkeypatc
     matrix = tmp_path / "instance.bin"
     main(["generate", "--config", str(model_conf), "--out", str(matrix)])
     capsys.readouterr()
-    monkeypatch.setattr(harness, "top_eigenpairs", _stalled)
+    monkeypatch.setattr(recovery, "top_eigenpairs", _stalled)
     assert main(["solve", str(matrix)]) == 1
     assert capsys.readouterr().err == "error: no convergence after 1 iterations\n"
 
@@ -232,7 +232,7 @@ def test_bench_subcommand_with_config(tmp_path, capsys):
 def test_bench_failed_trial_exits_one(tmp_path, capsys, monkeypatch):
     conf = tmp_path / "bench.conf"
     conf.write_text("mode = runtime\nK = 2\nd = 1\nn = 48,96\nalpha = 10\nbeta = 10\n")
-    monkeypatch.setattr(harness, "top_eigenpairs", _stalled)
+    monkeypatch.setattr(recovery, "top_eigenpairs", _stalled)
     assert main(["sweep", "--config", str(conf), "--out", str(tmp_path / "bench.csv")]) == 1
     assert capsys.readouterr().err == (
         "error: runtime bench trial 0 at n=48 failed: NoConvergence\n"

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from syncluster.cpqr import apply_block_permutation, blockwise_cpqr
+from syncluster.cpqr import blockwise_cpqr
 from syncluster.errors import NonFiniteError, ValidationError
 from syncluster.linalg import haar_from_normals
 
@@ -66,7 +66,7 @@ def test_permuted_r_is_upper_triangular(seed, shape):
     big_k, extra, d = shape
     x, _ = _random_input(seed, big_k, extra, d)
     factors = blockwise_cpqr(x, d)
-    w = apply_block_permutation(factors.r, factors.perm)
+    w = oracles.permute_blocks(factors.r, oracles.block_permutation(factors))
     assert _leading_square_upper_triangular(w, 1e-10 * max(1.0, np.linalg.norm(x)))
 
 
@@ -92,7 +92,6 @@ def test_orthogonal_invariance_of_pivots(seed, shape):
     base = blockwise_cpqr(x, d)
     rotated = blockwise_cpqr(left @ x, d)
     assert np.array_equal(base.pivots, rotated.pivots)
-    assert np.array_equal(base.perm, rotated.perm)
     # The two r factors differ by the orthogonal block-diagonal factor
     # q_rot^T L q_base; off-diagonal d x d blocks vanish.
     relate = rotated.q.T @ left @ base.q
@@ -114,18 +113,11 @@ def test_block_structure_survives_permutation():
             tags[0, j * d + t] = j
             tags[1, j * d + t] = t
     perm = np.array([3, 0, 4, 1, 2])
-    moved = apply_block_permutation(tags, perm)
+    moved = oracles.permute_blocks(tags, perm)
     for pos in range(n):
         seg = moved[:, pos * d : (pos + 1) * d]
         assert (seg[0] == perm[pos]).all()
         assert list(seg[1]) == [0, 1, 2]
-
-
-def test_apply_block_permutation_validates():
-    with pytest.raises(ValidationError):
-        apply_block_permutation(np.ones((2, 4)), np.array([0, 0]))
-    with pytest.raises(ValidationError):
-        apply_block_permutation(np.ones((2, 5)), np.array([1, 0]))
 
 
 def test_tie_break_prefers_smallest_index():
@@ -174,7 +166,7 @@ def test_input_validation():
 def test_factors_expose_block_shape():
     x = _gen(3).standard_normal((4, 12))
     factors = blockwise_cpqr(x, 2)
-    assert sorted(factors.perm) == list(range(6))
-    assert np.array_equal(factors.pivots, factors.perm[:2])
-    # The unchosen blocks follow the pivots in ascending order.
-    assert list(factors.perm[2:]) == sorted(factors.perm[2:])
+    assert (factors.r.shape, factors.d) == ((4, 12), 2)
+    # Two distinct pivot blocks, each one of the six block columns.
+    assert factors.pivots.shape == (2,)
+    assert sorted(oracles.block_permutation(factors)) == list(range(6))

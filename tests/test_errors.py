@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from syncluster.cpqr import apply_block_permutation, blockwise_cpqr
+from syncluster.cpqr import blockwise_cpqr
 from syncluster.eigensolver import SolverConfig, top_eigenpairs
 from syncluster.errors import NonFiniteError, ValidationError
 from syncluster.harness import SweepSpec, run_pipeline, run_sweep
@@ -18,14 +18,11 @@ from syncluster.model import (
     ModelParams,
     RandomSource,
     SparseBlockMatrix,
-    add_gaussian_noise,
-    generate_ground_truth,
     generate_instance,
-    generate_observation,
     save_labeling,
     save_matrix,
 )
-from syncluster.recovery import assign_and_extract, refine_clusters
+from syncluster.recovery import assign_and_extract, refine_clusters, refine_transforms
 
 
 def _instance():
@@ -42,7 +39,7 @@ def _factors():
 
 
 def _truth():
-    return generate_ground_truth(ModelParams(n=12, K=2, d=2, p=1.0, q=0.0, seed=1))
+    return generate_instance(ModelParams(n=12, K=2, d=2, p=1.0, q=0.0, seed=1))[0]
 
 
 def _ground_truth(**kw):
@@ -96,12 +93,6 @@ def test_non_integer_arguments_fail_typed_and_named(name, call):
     ("eta", lambda: _spec(mode="eta-sweep", eta=("0.4",)).validate()),
     ("sigma", lambda: _spec(sigma=(0.0, "0.1")).validate()),
     pytest.param("fraction", lambda: _refine_clusters("0.1"), id="fraction-refine_clusters"),
-    pytest.param("p", lambda: generate_observation(_truth(), "0.5", 0.1, RandomSource(1)),
-                 id="p-generate_observation"),
-    pytest.param("q", lambda: generate_observation(_truth(), 0.5, "0.1", RandomSource(1)),
-                 id="q-generate_observation"),
-    pytest.param("sigma", lambda: add_gaussian_noise(_instance(), "0.3", RandomSource(1)),
-                 id="sigma-add_gaussian_noise"),
     pytest.param("n", lambda: eta("400", 0.1, 0.1, 2), id="n-eta"),
     pytest.param("q", lambda: eta(400, 0.1, [0.1], 2), id="q-eta"),
     pytest.param("d", lambda: beta_for_eta(0.5, 8.0, 400, "2"), id="d-beta_for_eta"),
@@ -156,8 +147,6 @@ def test_non_numeric_arrays_fail_typed_and_named(name, call):
     pytest.param("labels", lambda: _ground_truth(labels=[1.5, 2.0, 1.0]), id="labels-GroundTruth"),
     pytest.param("labels", lambda: save_labeling(os.devnull, 2, [1.5, 2.0], np.ones((2, 1, 1))),
                  id="labels-save_labeling"),
-    pytest.param("perm", lambda: apply_block_permutation(np.eye(2), [0.5, 1.2]),
-                 id="perm-apply_block_permutation"),
     pytest.param("est_labels", lambda: exact_recovery([[1, 2], [1]], [1, 2], 2),
                  id="ragged-est_labels-exact_recovery"),
     pytest.param("true_labels", lambda: snr_ratio(_factors(), [1.4] * 6 + [2] * 6),
@@ -187,6 +176,18 @@ def test_snr_ratio_rejects_labels_outside_two_clusters():
     # A label of 3 used to be read silently as "not cluster 1".
     with pytest.raises(ValidationError, match=r"^true_labels must lie in \{1, 2\}"):
         snr_ratio(_factors(), [1] * 6 + [2] * 5 + [3])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: top_eigenpairs(_instance(), 4, 5), id="top_eigenpairs"),
+    pytest.param(lambda: run_pipeline(_instance(), 2, 2, 5), id="run_pipeline"),
+    pytest.param(lambda: refine_transforms(_instance(), assign_and_extract(_factors(), 2, 2), 5),
+                 id="refine_transforms"),
+])
+def test_a_solver_config_of_another_type_fails_typed(call):
+    # Each used to end in AttributeError: 'int' object has no attribute 'seed'.
+    with pytest.raises(ValidationError, match="^cfg must be a SolverConfig or None, got 5$"):
+        call()
 
 
 @pytest.mark.parametrize("shape", [(23, 2), (24, 5), (24, 0), (24,), (24, 2, 1)])

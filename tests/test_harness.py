@@ -32,8 +32,6 @@ from syncluster.harness import (
     BENCH_COLUMNS,
     CSV_COLUMNS,
     CSV_SCHEMA_VERSION,
-    FLAG_DEGENERATE_GAP,
-    FLAG_RANK_DEFICIENT,
     SweepSpec,
     fit_loglog_slope,
     load_config,
@@ -43,7 +41,7 @@ from syncluster.harness import (
     run_sweep,
 )
 from syncluster.metrics import eta
-from syncluster.recovery import FLAG_DISCONNECTED_CLUSTER
+from syncluster.recovery import FLAG_DEGENERATE_GAP, FLAG_DISCONNECTED_CLUSTER, FLAG_RANK_DEFICIENT
 
 
 def _small_spec(**kw):
@@ -232,17 +230,20 @@ def test_validate_returns_the_resolved_cells():
 
 
 def test_dense_noise_spec_over_budget_fails_before_allocating():
-    # sigma > 0 at n=20000, d=2 would need 6.4 GB of noise blocks.
-    spec = SweepSpec(mode="grid", n=(20000,), K=2, d=(2,), alpha=(8.0,), beta=(1.0,),
-                     sigma=(0.1,), trials=1)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValidationError, match="over the 1 GiB budget"):
-            spec.validate()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    # sigma > 0 at n=20000, d=2 would need 6.4 GB of noise blocks, and
+    # sigma = 0 at n=200000, p = q = 0.5 about 320 GB of expected blocks.
+    noisy = SweepSpec(mode="grid", n=(20000,), K=2, d=(2,), alpha=(8.0,), beta=(1.0,),
+                      sigma=(0.1,), trials=1)
+    dense = SweepSpec(mode="grid", n=(200000,), K=2, d=(2,), p=0.5, q=0.5, trials=1)
+    for spec in (noisy, dense):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="over the 1 GiB budget"):
+                spec.validate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 _GRID = dict(mode="grid", n=(40,), K=2, d=(2,), alpha=(8.0,), beta=(1.0,), trials=1)
@@ -377,7 +378,7 @@ def _stalled(a, k, cfg=None):
 
 def test_nonconvergent_trials_become_flagged_rows(tmp_path, monkeypatch):
     out = tmp_path / "fail.csv"
-    monkeypatch.setattr(harness, "top_eigenpairs", _stalled)
+    monkeypatch.setattr(syncluster.recovery, "top_eigenpairs", _stalled)
     results, summaries = run_sweep(_small_spec(trials=2), out)
     assert all(v["flags"] == ["NoConvergence"] for v in results)
     assert all(v["exact"] == 0 for v in results)
@@ -515,7 +516,7 @@ def test_runtime_bench_takes_medians_after_the_warm_up(monkeypatch):
 
 
 def test_runtime_bench_raises_on_a_failed_trial(monkeypatch):
-    monkeypatch.setattr(harness, "top_eigenpairs", _stalled)
+    monkeypatch.setattr(syncluster.recovery, "top_eigenpairs", _stalled)
     with pytest.raises(SynclusterError, match="^runtime bench trial 0 at n=48 failed: NoConvergence$"):
         run_runtime_bench(_BENCH)
 
@@ -681,8 +682,8 @@ def test_run_pipeline_flags_its_own_degeneracies_in_stage_order(monkeypatch, see
     _, a = syncluster.generate_instance(params)
     cfg = syncluster.SolverConfig(seed=seed)
     assert harness.run_pipeline(a, 2, 2, cfg)[3] == [FLAG_DEGENERATE_GAP]
-    real = harness.blockwise_cpqr
-    monkeypatch.setattr(harness, "blockwise_cpqr",
+    real = syncluster.recovery.blockwise_cpqr
+    monkeypatch.setattr(syncluster.recovery, "blockwise_cpqr",
                         lambda x, d: replace(real(x, d), rank_deficient=True))
     _, result, _, flags = harness.run_pipeline(a, 2, 2, cfg, "transforms")
     assert result.flags == (FLAG_DISCONNECTED_CLUSTER,)
@@ -727,14 +728,12 @@ def test_global_solve_is_loose_only_when_transforms_are_resolved(monkeypatch, re
     params = syncluster.ModelParams(n=24, K=2, d=2, p=1.0, q=0.0, seed=1)
     _, a = syncluster.generate_instance(params)
 
-    def recording(kind):
-        def solve(a, k, cfg=None, start=None):
-            seen[kind].append(cfg.tolerance)
-            return syncluster.top_eigenpairs(a, k, cfg, start)
-        return solve
+    def recording(a, k, cfg=None, start=None):
+        # Only the restricted solves are warm-started.
+        seen["global" if start is None else "restricted"].append(cfg.tolerance)
+        return syncluster.top_eigenpairs(a, k, cfg, start)
 
-    monkeypatch.setattr(harness, "top_eigenpairs", recording("global"))
-    monkeypatch.setattr(syncluster.recovery, "top_eigenpairs", recording("restricted"))
+    monkeypatch.setattr(syncluster.recovery, "top_eigenpairs", recording)
     for tolerance in (1e-6, 5e-2):
         cfg = syncluster.SolverConfig(tolerance=tolerance, seed=1)
         seen = {"global": [], "restricted": []}

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from syncluster.cpqr import BlockCpqrFactors
-from syncluster.errors import ValidationError, WrongKError
+from syncluster.errors import ValidationError
 from syncluster.linalg import haar_from_normals
 from syncluster.metrics import (
     LOG_ZERO_FLOOR,
@@ -47,7 +47,6 @@ def _factors_from_r(r, d):
         q=np.eye(m),
         r=np.asarray(r, dtype=np.float64),
         pivots=np.arange(m // d),
-        perm=np.arange(r.shape[1] // d),
         d=d,
     )
 
@@ -232,10 +231,16 @@ def test_eta_inversion_rejects_unreachable_targets():
         alpha_for_eta(0.5, 400.0, 100, 2)  # implied q above 1
 
 
-@pytest.mark.parametrize("n, d, message", [(400, 0, "d must be"), (1, 2, "n must be"), (0, 2, "n must be")])
+@pytest.mark.parametrize("n, d, message", [
+    (400, 0, "d must be"), (1, 2, "n must be"), (0, 2, "n must be"),
+    (math.nan, 2, "n must be finite"), (math.inf, 2, "n must be finite"),
+    (400, math.inf, "d must be finite"),
+])
 def test_eta_inversion_checks_n_and_d_before_dividing(n, d, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            eta(n, 0.5, 0.1, d)
         with pytest.raises(ValidationError, match=message):
             alpha_for_eta(0.5, 2.0, n, d)
         with pytest.raises(ValidationError, match=message):
@@ -268,7 +273,7 @@ def test_snr_hand_cases():
 
 def test_snr_validation():
     r3 = np.zeros((3, 6))
-    with pytest.raises(WrongKError):
+    with pytest.raises(ValidationError, match="^the ratio is defined for exactly two clusters$"):
         snr_ratio(_factors_from_r(r3, 1), [1, 2, 1, 1, 2, 2])
     r2 = np.zeros((2, 4))
     with pytest.raises(ValidationError):

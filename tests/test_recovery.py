@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from syncluster import harness, recovery
+from syncluster import recovery
 from syncluster.cpqr import BlockCpqrFactors, blockwise_cpqr
 from syncluster.eigensolver import SolverConfig, top_eigenpairs
 from syncluster.errors import NonFiniteError, ValidationError
-from syncluster.harness import run_pipeline
 from syncluster.linalg import ORTHOGONALITY_ATOL, haar_from_normals, polar_decompose
 from syncluster.metrics import exact_recovery
 from syncluster.model import ModelParams, SparseBlockMatrix, generate_instance
@@ -27,6 +27,7 @@ from syncluster.recovery import (
     connectivity_check,
     refine_clusters,
     refine_transforms,
+    run_pipeline,
 )
 
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
@@ -39,12 +40,10 @@ def _gen(seed):
 def _factors_from_r(r, d):
     """Wrap a hand-built R with Q = I so the block reads are literal."""
     m = r.shape[0]
-    nb = r.shape[1] // d
     return BlockCpqrFactors(
         q=np.eye(m),
         r=np.asarray(r, dtype=np.float64),
         pivots=np.arange(m // d),
-        perm=np.arange(nb),
         d=d,
     )
 
@@ -356,6 +355,15 @@ def test_pipeline_with_loose_global_solve_still_refines_to_tolerance():
     assert flags == []
 
 
+def test_readme_quick_start_runs_as_written(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    exact, error_log = capsys.readouterr().out.split()
+    assert exact == "True"
+    assert float(error_log) <= math.log(1e-6)
+
+
 @pytest.mark.parametrize("refine", ["none", "clusters", "transforms", "both"])
 @pytest.mark.parametrize("n, big_k, d, seed", [(400, 2, 2, 1), (400, 2, 2, 2), (450, 3, 3, 3)])
 def test_pipeline_matches_the_old_composition_without_per_node_polars(refine, n, big_k, d, seed):
@@ -378,14 +386,18 @@ def test_pipeline_matches_the_old_composition_without_per_node_polars(refine, n,
 
     def kept(step):
         def run(*args):
+            # The stacked assignment runs inside run_pipeline, so its result
+            # is read as the first refine pass's input.
+            if not passes:
+                passes.extend(arg for arg in args if isinstance(arg, RecoveryResult))
             passes.append(step(*args))
             return passes[-1]
         return run
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(recovery, "polar_decompose", counted)
-        for name in ("assign_and_extract", "_assign_stacked", "refine_clusters", "refine_transforms"):
-            patch.setattr(harness, name, kept(getattr(harness, name)))
+        for name in ("assign_and_extract", "refine_clusters", "refine_transforms"):
+            patch.setattr(recovery, name, kept(getattr(recovery, name)))
         factors, new, _, _ = run_pipeline(a, big_k, d, cfg, refine)
     old = assign_and_extract(factors, big_k, d)
     if refine in ("clusters", "both"):
