@@ -63,13 +63,18 @@ def as_index(value, name):
 def as_real(value, name):
     """value unchanged, for an argument that must be a real number.
 
-    Any numbers.Real passes (numpy's floats and integers included); strings,
-    None and the like raise ValidationError naming the argument rather than
-    a TypeError from a comparison deep inside the library.
+    Any numbers.Real that a float can hold passes (numpy's floats and
+    integers included); strings, None, an integer too large for a float and
+    the like raise ValidationError naming the argument rather than a
+    TypeError or OverflowError from deep inside the library.
     """
-    if isinstance(value, numbers.Real):
-        return value
-    raise ValidationError(f"{name} must be a real number, got {value!r}")
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} must be a real number a float can hold") from None
+    return value
 
 
 def as_values(value, name):

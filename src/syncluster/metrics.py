@@ -44,8 +44,10 @@ def exact_recovery(est_labels, true_labels, big_k):
     for arr in (est, true):
         if arr.size and (arr.min() < 1 or arr.max() > big_k):
             raise ValidationError("labels must lie in 1..K")
-    pairs = np.unique(est * (big_k + 1) + true).size
-    return pairs == np.unique(est).size == np.unique(true).size
+    # Ranked labels are below n, so the pair codes stay below n^2 whatever big_k is.
+    est_ids, est = np.unique(est, return_inverse=True)
+    true_ids, true = np.unique(true, return_inverse=True)
+    return np.unique(est * true_ids.size + true).size == est_ids.size == true_ids.size
 
 
 def sync_error(est_transforms, gt):

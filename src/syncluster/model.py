@@ -20,8 +20,9 @@ the pair triangle at a time with a <= b; the impostor and noise streams are
 read in the lexicographic order of the pairs they fill. Generation costs
 O(m) time and memory for m stored blocks, and fills the blocks over slices
 of the pair range, so no whole-length gather or draw sits beside them;
-sigma > 0 stores every pair. ModelParams bounds the blocks either model is
-expected to store by one memory budget.
+sigma > 0 stores every pair, each slice taking its noise and then the
+signal of its sampled pairs in the same pass. ModelParams bounds the
+blocks and true transforms either model holds by one memory budget.
 """
 
 from contextlib import contextmanager
@@ -56,12 +57,12 @@ _MATVEC_TILE_ELEMS = 1 << 14
 # masks and keys, are then bounded by the slice, not by the stored blocks.
 _SLICE_ELEMS = 1 << 17
 
-# Largest expected block payload (d^2 float64s per stored pair) an instance
-# may store: every pair when sigma > 0, and p or q of each cluster block's
-# pairs otherwise. Generation peaks at about 1.25 to 1.5 times the bytes it
-# stores, so a size over this fails with ValidationError in ModelParams,
-# before anything is allocated, not with an out-of-memory kill partway
-# through.
+# Largest expected payload of d^2 float64s, per stored pair and per node's
+# true transform, an instance may hold: every pair when sigma > 0, and p or
+# q of each cluster block's pairs otherwise. Generation peaks at about 1.06
+# (sigma > 0) to 1.3 (sparse) times the bytes it stores, so a size over
+# this fails with ValidationError in ModelParams, before anything is
+# allocated, not with an out-of-memory kill partway through.
 _STORED_BYTES_BUDGET = 1 << 30
 
 # Largest n whose pair keys i*n + j < n**2 fit int64: isqrt(2**63 - 1).
@@ -81,15 +82,20 @@ class RandomSource:
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
 
+    def _sequence(self, key):
+        """The SeedSequence of (seed, key); every key part a non-negative integer."""
+        key = tuple(as_index(k, "key") for k in key)
+        if any(k < 0 for k in key):
+            raise ValidationError("key must be non-negative")
+        return np.random.SeedSequence(self.seed, spawn_key=key)
+
     def stream(self, *key):
         """Return the Philox generator for the given stream key."""
-        ss = np.random.SeedSequence(self.seed, spawn_key=tuple(as_index(k, "key") for k in key))
-        return np.random.Generator(np.random.Philox(ss))
+        return np.random.Generator(np.random.Philox(self._sequence(key)))
 
     def subseed(self, *key):
         """Derive a replayable integer seed for a child run."""
-        ss = np.random.SeedSequence(self.seed, spawn_key=tuple(as_index(k, "key") for k in key))
-        return int(ss.generate_state(1, np.uint64)[0])
+        return int(self._sequence(key).generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,7 @@ class ModelParams:
     sizes defaults to an equal split of n over K clusters (larger clusters
     first when K does not divide n). sigma is the additive Gaussian noise
     level; 0 means the base model. The blocks an instance is expected to
-    store must fit the 1 GiB budget (_STORED_BYTES_BUDGET).
+    store and its transforms must fit the 1 GiB _STORED_BYTES_BUDGET.
     """
 
     n: int
@@ -146,11 +152,11 @@ class ModelParams:
         if self.sigma == 0:
             within = sum(s * (s - 1) // 2 for s in sizes)
             pairs = self.p * within + self.q * (pairs - within)
-        need = pairs * d * d * 8
+        need = (pairs + n) * d * d * 8  # the n true transforms are d x d too
         if need > _STORED_BYTES_BUDGET:
             raise ValidationError(
-                f"n={n}, d={d}, sigma={self.sigma:g} expects {need / 2**30:.2f} GiB of "
-                f"stored blocks, over the {_STORED_BYTES_BUDGET / 2**30:g} GiB budget"
+                f"n={n}, d={d}, sigma={self.sigma:g} expects {need / 2**30:.2f} GiB of stored "
+                f"blocks and transforms, over the {_STORED_BYTES_BUDGET / 2**30:g} GiB budget"
             )
 
 
@@ -432,47 +438,56 @@ def _sample_pairs(gt, p, q, rng):
     return pairs
 
 
-def _generate_observation(gt, p, q, source):
-    """Draw the random block observation matrix in O(m) time and memory.
+def _generate_observation(gt, p, q, sigma, source):
+    """Draw the random block observation matrix in one pass, O(m) time and memory.
 
     Independently for each unordered pair i < j: a same-cluster pair carries
     the exact relative transform O_i O_j^T with probability p; a cross-pair
     carries a Haar-uniform block with probability q; otherwise the pair is
-    absent. Setting p=1, q=0 gives the noiseless matrix, which stores
-    exactly the same-cluster pairs.
+    absent (p=1, q=0 stores exactly the same-cluster pairs). sigma > 0 adds
+    an i.i.d. N(0, sigma^2) block to every pair i < j, so all are stored.
 
-    Only the m stored pairs are ever drawn. For each (cluster a, cluster b)
-    block of the pair triangle, a <= b in order, the presence stream gives
-    a Binomial(total, p or q) count and then that many distinct ranks among
-    the block's total pairs, unranked to (i, j) by divmod (a < b) or the
-    triangle inverse (a == b); one in-place sort of their keys i*n + j
-    orders them. The blocks are then written over fixed-size slices of the
-    sorted pairs, each slice taking its impostor blocks from the cross
-    stream in the order of its cross pairs, so the stream is read in the
-    sorted order of all cross pairs and the gathers and draws beside the
-    stored blocks are bounded by one slice.
-
-    The source roots the presence and impostor draws; p and q come from a
+    Only the sampled pairs are drawn: for each (cluster a, cluster b) block
+    of the pair triangle, a <= b in order, the presence stream gives a
+    Binomial(total, p or q) count and that many distinct ranks, unranked to
+    (i, j) by divmod (a < b) or the triangle inverse (a == b) and sorted by
+    key i*n + j. Fixed-size slices of the stored pairs then take scaled
+    noise plus the signal of the sampled pairs in them (sigma > 0), or the
+    signal alone. Read in pieces, in the order of the pairs it fills, each
+    stream gives the draws of one whole read, and the draws and gathers
+    beside the blocks stay bounded by one slice. p, q and sigma come from a
     validated ModelParams.
     """
-    d = gt.d
+    n, d = gt.n, gt.d
     pairs = _sample_pairs(gt, p, q, source.stream(_STREAM_PRESENCE))
-
-    # Reading the cross stream in pieces, in pair order, gives the same
-    # draws as reading it at once.
+    if sigma > 0:
+        # The sampled pairs' ranks among all pairs, ascending like their keys.
+        slots = pairs[:, 0] * (2 * n - pairs[:, 0] - 1) // 2 + (pairs[:, 1] - pairs[:, 0] - 1)
+        pairs = np.column_stack(np.triu_indices(n, k=1))
+        noise = source.stream(_STREAM_NOISE)
     data = np.empty((pairs.shape[0], d, d))
     cross = source.stream(_STREAM_CROSS)
     step = max(1, _SLICE_ELEMS // (d * d))
     for lo in range(0, pairs.shape[0], step):
-        i_arr, j_arr = pairs[lo : lo + step].T
         out = data[lo : lo + step]
-        within = gt.labels[i_arr] == gt.labels[j_arr]
-        out[within] = np.matmul(gt.transforms[i_arr[within]],
-                                gt.transforms[j_arr[within]].transpose(0, 2, 1))
-        cross_count = within.size - np.count_nonzero(within)
-        if cross_count:
-            out[~within] = haar_from_normals(cross.standard_normal((cross_count, d, d)))
-    return SparseBlockMatrix(gt.n, d, pairs, data, copy=False)
+        if sigma > 0:
+            noise.standard_normal(out=out)
+            out *= sigma
+            # The slots are distinct, so this adds each signal block once.
+            a, b = np.searchsorted(slots, (lo, lo + len(out)))
+            out[slots[a:b] - lo] += _signal(gt, pairs[slots[a:b]], cross, np.empty((b - a, d, d)))
+        else:
+            _signal(gt, pairs[lo : lo + step], cross, out)
+    return SparseBlockMatrix(n, d, pairs, data, copy=False)
+
+
+def _signal(gt, pairs, cross, out):
+    """out, filled with the signal blocks of pairs; impostors come from the cross stream."""
+    i, j = pairs.T
+    within = gt.labels[i] == gt.labels[j]
+    out[within] = np.matmul(gt.transforms[i[within]], gt.transforms[j[within]].transpose(0, 2, 1))
+    out[~within] = haar_from_normals(cross.standard_normal((np.count_nonzero(~within), gt.d, gt.d)))
+    return out
 
 
 def generate_instance(params):
@@ -483,33 +498,9 @@ def generate_instance(params):
     Returns:
         (GroundTruth, SparseBlockMatrix).
     """
-    source = RandomSource(params.seed)
     gt = _generate_ground_truth(params)
-    a = _generate_observation(gt, params.p, params.q, source)
-    if params.sigma > 0:
-        a = _add_gaussian_noise(a, params.sigma, source)
-    return gt, a
-
-
-def _add_gaussian_noise(a, sigma, source):
-    """Perturb every pair i < j with an i.i.d. N(0, sigma^2) block, sigma > 0.
-
-    Noise lands on all pairs, including absent ones, so the result stores a
-    block for every pair (dense by block). Symmetry is preserved because
-    only the i < j direction is stored; diagonal blocks stay zero. The
-    source roots the noise draws.
-    """
-    n, d = a.n, a.d
-    pairs = np.column_stack(np.triu_indices(n, k=1))
-    data = source.stream(_STREAM_NOISE).standard_normal((pairs.shape[0], d, d))
-    data *= sigma
-    if a.pair_count:
-        # Canonical position of each stored pair among all pairs.
-        i0, j0 = a.pairs[:, 0], a.pairs[:, 1]
-        slots = i0 * (2 * n - i0 - 1) // 2 + (j0 - i0 - 1)
-        # In place; data[slots] += a.data would first gather a copy of them.
-        np.add.at(data, slots, a.data)
-    return SparseBlockMatrix(n, d, pairs, data, copy=False)
+    return gt, _generate_observation(gt, params.p, params.q, params.sigma,
+                                     RandomSource(params.seed))
 
 
 def _cluster_count(K):

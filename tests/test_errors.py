@@ -99,6 +99,11 @@ def test_non_integer_arguments_fail_typed_and_named(name, call):
     pytest.param("alpha", lambda: beta_for_eta(0.5, "8", 400, 2), id="alpha-beta_for_eta"),
     pytest.param("target", lambda: alpha_for_eta("0.5", 2.0, 400, 2), id="target-alpha_for_eta"),
     pytest.param("beta", lambda: alpha_for_eta(0.5, None, 400, 2), id="beta-alpha_for_eta"),
+    # Integers past the float range.
+    pytest.param("n", lambda: eta(10**400, 0.5, 0.1, 2), id="huge-n-eta"),
+    pytest.param("sigma", lambda: ModelParams(n=10, K=2, d=2, p=0.5, q=0.5, sigma=10**400),
+                 id="huge-sigma-ModelParams"),
+    pytest.param("tolerance", lambda: SolverConfig(tolerance=10**400), id="huge-tolerance"),
 ])
 def test_non_real_settings_fail_typed_and_named(name, call):
     with pytest.raises(ValidationError, match=f"^{name} must be a real number"):

@@ -58,6 +58,9 @@ def test_exact_recovery_hand_cases():
     assert exact_recovery([1, 1, 2], [2, 2, 1], 2)
     assert not exact_recovery([1, 2, 1], [1, 1, 2], 2)
     assert exact_recovery([1, 2, 3], [3, 1, 2], 3)
+    # Label values near the int64 range: the pair encoding must not overflow.
+    assert exact_recovery([8, 4], [1, 5], 2**62)
+    assert exact_recovery([8, 4], [1, 5], 2**63 - 1)
 
 
 @given(seeds, st.integers(min_value=2, max_value=6))

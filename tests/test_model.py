@@ -19,7 +19,6 @@ from syncluster.model import (
     ModelParams,
     RandomSource,
     SparseBlockMatrix,
-    _add_gaussian_noise,
     _generate_ground_truth,
     _generate_observation,
     _unrank_triangle,
@@ -143,7 +142,7 @@ def test_clean_observation_equals_full_probability_draw(seed, n, d):
     params = ModelParams(n=n, K=2, d=d, p=1.0, q=0.0, seed=seed)
     gt = _generate_ground_truth(params)
     src = RandomSource(seed)
-    drawn = _generate_observation(gt, 1.0, 0.0, src)
+    drawn = _generate_observation(gt, 1.0, 0.0, 0.0, src)
     i_arr, j_arr = np.triu_indices(n, k=1)
     same = gt.labels[i_arr] == gt.labels[j_arr]
     i_arr, j_arr = i_arr[same], j_arr[same]
@@ -202,12 +201,12 @@ def test_sampled_pairs_are_distinct_and_in_their_blocks(sizes, interleaved):
         gt = GroundTruth(labels=gt.labels[perm], transforms=gt.transforms)
     # p and q at 0 or 1 pin each block's pair set exactly.
     for p, q in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
-        a = _generate_observation(gt, p, q, RandomSource(3))
+        a = _generate_observation(gt, p, q, 0.0, RandomSource(3))
         want = np.concatenate([_all_pairs(gt.labels, same)
                                for same, prob in ((True, p), (False, q)) if prob])
         want = want[np.lexsort((want[:, 1], want[:, 0]))]
         assert np.array_equal(a.pairs, want)
-    a = _generate_observation(gt, 0.4, 0.1, RandomSource(4))
+    a = _generate_observation(gt, 0.4, 0.1, 0.0, RandomSource(4))
     i, j = a.pairs.T
     assert (i < j).all()
     assert np.unique(i * n + j).size == a.pair_count
@@ -217,11 +216,13 @@ def test_sampled_pairs_are_distinct_and_in_their_blocks(sizes, interleaved):
     assert not np.isclose(a.data[~same], exact[~same]).all(axis=(1, 2)).any()
 
 
-def _one_pass_observation(gt, p, q, source):
-    """(pairs, data) of _generate_observation built in one pass, QR oracle Haar map.
+def _one_pass_observation(gt, p, q, sigma, source):
+    """(pairs, data) of _generate_observation built whole, QR oracle Haar map.
 
     Reads the presence stream block by block, a <= b, and the cross stream
-    in one draw for all cross pairs in key order.
+    in one draw for all cross pairs in key order. With sigma > 0 the noise
+    stream then gives one draw for every pair, scaled by sigma, and the
+    sampled blocks are added at their ranks among all pairs.
     """
     n, d, sizes = gt.n, gt.d, gt.sizes.tolist()
     members = [gt.cluster_nodes(k) for k in range(1, gt.K + 1)]
@@ -239,39 +240,49 @@ def _one_pass_observation(gt, p, q, source):
     data = np.matmul(gt.transforms[i_arr], gt.transforms[j_arr].transpose(0, 2, 1))
     z = source.stream(model._STREAM_CROSS).standard_normal((int((~within).sum()), d, d))
     data[~within] = oracles.haar_qr_oracle(z)
-    return np.column_stack((i_arr, j_arr)), data
+    if sigma == 0:
+        return np.column_stack((i_arr, j_arr)), data
+    noisy = source.stream(model._STREAM_NOISE).standard_normal((n * (n - 1) // 2, d, d))
+    noisy *= sigma
+    np.add.at(noisy, i_arr * (2 * n - i_arr - 1) // 2 + (j_arr - i_arr - 1), data)
+    return np.column_stack(np.triu_indices(n, k=1)), noisy
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_sliced_generation_matches_one_pass_reference(monkeypatch, d):
     # Four pairs per slice cuts the instance into dozens of slices, each
-    # holding within-cluster and cross pairs in varying mixes.
+    # holding within-cluster and cross pairs in varying mixes (and, with
+    # noise, sampled and absent pairs too).
     monkeypatch.setattr(model, "_SLICE_ELEMS", 4 * d * d)
-    params = ModelParams(n=40, K=3, d=d, p=0.5, q=0.3, seed=11)
-    gt = _generate_ground_truth(params)
-    a = _generate_observation(gt, params.p, params.q, RandomSource(params.seed))
-    pairs, data = _one_pass_observation(gt, params.p, params.q, RandomSource(params.seed))
-    assert a.pair_count >= 4 * 24
-    within = gt.labels[pairs[:, 0]] == gt.labels[pairs[:, 1]]
-    assert within.any() and not within.all()
-    assert a.pairs.dtype == pairs.dtype and np.array_equal(a.pairs, pairs)
-    assert np.abs(a.data - data).max() <= 1e-12
+    for sigma in (0.0, 0.5):
+        params = ModelParams(n=40, K=3, d=d, p=0.5, q=0.3, sigma=sigma, seed=11)
+        gt = _generate_ground_truth(params)
+        a = _generate_observation(gt, params.p, params.q, sigma, RandomSource(params.seed))
+        pairs, data = _one_pass_observation(gt, params.p, params.q, sigma,
+                                            RandomSource(params.seed))
+        assert a.pair_count >= 4 * 24
+        within = gt.labels[pairs[:, 0]] == gt.labels[pairs[:, 1]]
+        assert within.any() and not within.all()
+        assert a.pairs.dtype == pairs.dtype and np.array_equal(a.pairs, pairs)
+        assert np.abs(a.data - data).max() <= 1e-12
 
 
 def test_generation_peak_is_bounded_by_the_stored_bytes():
-    # The sparse-large benchmark cell. With the blocks filled and checked
-    # slice by slice the peak is 1.31x the stored bytes; whole-range
-    # gathers and Haar draws took it to 2.9x, and whole-range checks 1.43x.
-    n = 6400
-    p = 10 * math.log(n) / n
-    params = ModelParams(n=n, K=2, d=2, p=p, q=p, seed=1)
-    tracemalloc.start()
-    try:
-        _, a = generate_instance(params)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * (a.data.nbytes + a.pairs.nbytes)
+    # The benchmark cells. With the blocks filled and checked slice by
+    # slice the sparse peak is 1.31x the stored bytes; whole-range gathers
+    # and Haar draws took it to 2.9x, and whole-range checks 1.43x. The
+    # noisy peak is 1.06x; building the sparse matrix first and adding the
+    # noise in a second pass took it to 1.26x.
+    p = 10 * math.log(6400) / 6400
+    for cell, bound in ((dict(n=6400, K=2, d=2, p=p, q=p), 1.5),
+                        (dict(n=500, K=3, d=8, p=0.5, q=0.1, sigma=0.3), 1.1)):
+        tracemalloc.start()
+        try:
+            _, a = generate_instance(ModelParams(seed=1, **cell))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * (a.data.nbytes + a.pairs.nbytes), cell
 
 
 def test_sparse_generation_memory_is_linear_in_stored_blocks():
@@ -289,11 +300,11 @@ def test_sparse_generation_memory_is_linear_in_stored_blocks():
 
 
 def test_dense_noise_over_budget_fails_typed():
-    # d=2 noise blocks take 32 bytes per pair: n=8192 fits in 1 GiB, 8193
-    # does not.
-    ModelParams(n=8192, K=2, d=2, p=0.1, q=0.1, sigma=0.1)
+    # At d=2 the noise blocks take 32 bytes per pair and the truth's
+    # transforms 32 bytes per node: n=8191 fits in 1 GiB, 8192 does not.
+    ModelParams(n=8191, K=2, d=2, p=0.1, q=0.1, sigma=0.1)
     with pytest.raises(ValidationError, match="over the 1 GiB budget"):
-        ModelParams(n=8193, K=2, d=2, p=0.1, q=0.1, sigma=0.1)
+        ModelParams(n=8192, K=2, d=2, p=0.1, q=0.1, sigma=0.1)
     # sigma = 0 counts the pairs expected at p and q: 0.6 GiB here, but
     # about 300 GiB at n = 200000 and p = q = 0.5.
     ModelParams(n=20000, K=2, d=2, p=0.1, q=0.1)
@@ -532,11 +543,8 @@ def test_loader_rejects_non_finite_block(nan_block_container):
 
 
 def test_add_noise_densifies_and_shifts_stored_blocks():
-    params = ModelParams(n=8, K=2, d=2, p=0.8, q=0.1, seed=11)
-    gt = _generate_ground_truth(params)
-    src = RandomSource(11)
-    a = _generate_observation(gt, params.p, params.q, src)
-    noisy = _add_gaussian_noise(a, 0.5, src)
+    _, a = generate_instance(ModelParams(n=8, K=2, d=2, p=0.8, q=0.1, seed=11))
+    _, noisy = generate_instance(ModelParams(n=8, K=2, d=2, p=0.8, q=0.1, sigma=0.5, seed=11))
     assert noisy.pair_count == 8 * 7 // 2
     diff = oracles.dense(noisy) - oracles.dense(a)
     assert np.array_equal(diff, diff.T)
@@ -699,3 +707,7 @@ def test_random_source_streams_are_independent():
     assert src.subseed(3, 1) != src.subseed(1, 3)
     with pytest.raises(ValidationError):
         RandomSource(-1)
+    with pytest.raises(ValidationError, match="key must be non-negative"):
+        src.stream(-1)
+    with pytest.raises(ValidationError, match="key must be non-negative"):
+        src.subseed(3, -1)
